@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .fuse import canonical_key
 from .graph import DataflowGraph, OpNode
-from .lower import IRLoop, IRParallel, IRStmt, LoopIR, Storage
+from .lower import IRLoop, IRParallel, IRStmt, LoopIR, Storage, _unique
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,6 @@ class _Emitter:
             return f"{name}[{_index(s, block)}]"
         return f"{name}[{_index(s)}]"
 
-    def partial_for(self, result: str) -> Storage | None:
-        for s in self.ir.storage.values():
-            if s.cls == "partial" and s.base == result:
-                return s
-        return None
-
     # -- statements -----------------------------------------------------------
 
     def emit_stmt(self, stmt: IRStmt, block: str | None, in_region: bool):
@@ -136,7 +130,7 @@ class _Emitter:
             self.w.put(f"{target} = {expr};")
 
     def target_ref(self, op: OpNode, block: str | None, in_region: bool) -> str:
-        partial = self.partial_for(op.result) if in_region else None
+        partial = self.ir.partial_for(op.result) if in_region else None
         if partial is not None:
             return f"{partial.name}[{_index(partial, block)}]"
         return self.ref(op.result)
@@ -181,7 +175,7 @@ class _Emitter:
         t = self.ir.organism.threads[region.slot]
         block = f"p{region.slot}"
         for result in region.partials:
-            p = self.partial_for(result)
+            p = self.ir.partial_for(result)
             size = " * ".join([str(t)] + [f"(size_t){e}" for e in p.extents])
             self.w.put(
                 f"double *{p.name} = (double *)malloc(sizeof(double) * "
@@ -199,10 +193,10 @@ class _Emitter:
         for result in region.partials:
             self.emit_join(result, t)
         for result in region.partials:
-            self.w.put(f"free({self.partial_for(result).name});")
+            self.w.put(f"free({self.ir.partial_for(result).name});")
 
     def emit_join(self, result: str, t: int):
-        p = self.partial_for(result)
+        p = self.ir.partial_for(result)
         res = self.ir.storage[result]
         if not p.extents:  # scalar reduction
             self.w.put(f"double {result}_acc = {p.name}[0];")
@@ -295,35 +289,46 @@ def _emit_main(w: _Writer, ir: LoopIR, kname: str, extents: dict[str, int]):
     graph = ir.graph
     spec = graph.spec
     names = graph.extent_names
+    # main's own locals and helpers must not shadow the kernel's names
+    taken = {kname, *names, *(n for n, _ in spec.inputs + spec.outputs)}
+
+    def local(want: str) -> str:
+        name = _unique(taken, want)
+        taken.add(name)
+        return name
+
+    rng_state, rnd, now, argc, argv, reps, q, best, r, t0, dt, checksum = map(
+        local, ("rng_state_", "rnd_", "now_", "argc", "argv", "reps", "q",
+                "best", "r", "t0", "dt", "checksum"))
     w.put("#ifndef MATFUSE_NO_MAIN")
-    w.put("static unsigned long long rng_state_ = 88172645463325252ULL;")
-    w.open("static double rnd_(void)")
-    w.put("rng_state_ = rng_state_ * 6364136223846793005ULL + "
+    w.put(f"static unsigned long long {rng_state} = 88172645463325252ULL;")
+    w.open(f"static double {rnd}(void)")
+    w.put(f"{rng_state} = {rng_state} * 6364136223846793005ULL + "
           "1442695040888963407ULL;")
-    w.put("return (double)(rng_state_ >> 11) / 9007199254740992.0;")
+    w.put(f"return (double)({rng_state} >> 11) / 9007199254740992.0;")
     w.close()
-    w.open("static double now_(void)")
+    w.open(f"static double {now}(void)")
     w.put("struct timespec ts;")
     w.put("clock_gettime(CLOCK_MONOTONIC, &ts);")
     w.put("return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;")
     w.close()
-    w.open("int main(int argc, char **argv)")
+    w.open(f"int main(int {argc}, char **{argv})")
     for pos, ext in enumerate(names):
-        w.put(f"long {ext} = argc > {pos + 1} ? atol(argv[{pos + 1}]) : "
+        w.put(f"long {ext} = {argc} > {pos + 1} ? atol({argv}[{pos + 1}]) : "
               f"{extents[ext]};")
-    w.put(f"long reps = argc > {len(names) + 1} ? "
-          f"atol(argv[{len(names) + 1}]) : 5;")
+    w.put(f"long {reps} = {argc} > {len(names) + 1} ? "
+          f"atol({argv}[{len(names) + 1}]) : 5;")
     args = []
     for name, decl in spec.inputs:
         s = ir.storage[name]
         if decl.kind == "scalar":
-            w.put(f"double {name} = rnd_();")
+            w.put(f"double {name} = {rnd}();")
             args.append(name)
         else:
             w.put(f"double *{name} = (double *)malloc(sizeof(double) * "
                   f"{_elements(s)});")
-            w.open(f"for (size_t q = 0; q < {_elements(s)}; ++q)")
-            w.put(f"{name}[q] = rnd_();")
+            w.open(f"for (size_t {q} = 0; {q} < {_elements(s)}; ++{q})")
+            w.put(f"{name}[{q}] = {rnd}();")
             w.close()
             args.append(name)
     for name, decl in spec.outputs:
@@ -337,23 +342,23 @@ def _emit_main(w: _Writer, ir: LoopIR, kname: str, extents: dict[str, int]):
             args.append(name)
     call = f"{kname}({', '.join(args + list(names))});"
     w.put(call + " /* warm-up, untimed */")
-    w.put("double best = 1e300;")
-    w.open("for (long r = 0; r < reps; ++r)")
-    w.put("double t0 = now_();")
+    w.put(f"double {best} = 1e300;")
+    w.open(f"for (long {r} = 0; {r} < {reps}; ++{r})")
+    w.put(f"double {t0} = {now}();")
     w.put(call)
-    w.put("double dt = now_() - t0;")
-    w.put("if (dt < best) best = dt;")
+    w.put(f"double {dt} = {now}() - {t0};")
+    w.put(f"if ({dt} < {best}) {best} = {dt};")
     w.close()
-    w.put("double checksum = 0.0;")
+    w.put(f"double {checksum} = 0.0;")
     for name, decl in spec.outputs:
         s = ir.storage[name]
         if decl.kind == "scalar":
-            w.put(f"checksum += {name};")
+            w.put(f"{checksum} += {name};")
         else:
-            w.open(f"for (size_t q = 0; q < {_elements(s)}; ++q)")
-            w.put(f"checksum += {name}[q];")
+            w.open(f"for (size_t {q} = 0; {q} < {_elements(s)}; ++{q})")
+            w.put(f"{checksum} += {name}[{q}];")
             w.close()
-    w.put('printf("seconds %.9e\\nchecksum %.17g\\n", best, checksum);')
+    w.put(f'printf("seconds %.9e\\nchecksum %.17g\\n", {best}, {checksum});')
     w.put("return 0;")
     w.close()
     w.put("#endif /* MATFUSE_NO_MAIN */")

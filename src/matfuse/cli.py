@@ -17,6 +17,7 @@ import argparse
 import json
 import logging
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,8 +25,9 @@ from . import corpus as corpus_mod
 from .cost import AnalyticCost, EmpiricalTimer, MachineModel, cached
 from .cemit import emit_c
 from .fuse import (
-    Limits, NotationError, SpaceError, canonical_key, digit_space_size,
-    enumerate_space, format_notation, fusion_legal, parse_notation,
+    Limits, NotationError, SpaceError, canonical_key, dependence_diagnostic,
+    digit_space_size, enumerate_space, format_notation, fusion_legal,
+    parse_notation,
 )
 from .graph import TypeCheckError, build_dataflow, infer_types
 from .interp import reference_evaluate
@@ -33,7 +35,6 @@ from .lang import KernelSpecError, KernelSyntaxError, parse_kernel
 from .lower import contract_arrays, lower
 from .runtime import (
     Toolchain, ToolchainError, max_rel_error, random_inputs, run_kernel,
-    workdir,
 )
 from .search import STRATEGIES, SearchConfig, max_fuse, run_strategy
 
@@ -108,31 +109,19 @@ def _grouping_diagnostic(text: str, graph):
     for group in groups:
         if len(group) < 2 or not set(group) <= known:
             continue
-        inside = set(group)
-        for a in group:
-            for b in group:
-                if a == b or not graph.reaches(a, b):
-                    continue
-                for x in graph.op_ids():
-                    if x not in inside and graph.reaches(a, x) \
-                            and graph.reaches(x, b):
-                        from .fuse import Diagnostic
-                        return Diagnostic(
-                            "dependence",
-                            f"ops {a} and {b} cannot fuse: they depend "
-                            f"through op {x} outside the fused set",
-                            (a, x, b),
-                        )
+        diag = dependence_diagnostic(group, graph)
+        if diag is not None:
+            return diag
     return None
 
 
 def _validate_organism(graph, org, extents, toolchain) -> float:
     ir = contract_arrays(lower(org, graph))
     kernel = emit_c(ir, extents)
-    wd = workdir()
-    lib = toolchain.compile(kernel.source, wd, shared=True)
     inputs = random_inputs(graph, extents, seed=11)
-    got = run_kernel(lib, kernel, graph, inputs, extents)
+    with tempfile.TemporaryDirectory(prefix="matfuse-") as wd:
+        lib = toolchain.compile(kernel.source, wd, shared=True)
+        got = run_kernel(lib, kernel, graph, inputs, extents)
     want = reference_evaluate(graph.spec, inputs)
     return max_rel_error(got, want)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
+import tempfile
 from dataclasses import dataclass
 
 from .fuse import Organism, PartitionNode, canonical_key, contracted_temporaries, ops_under
@@ -104,9 +105,7 @@ def estimate_cost(org: Organism, graph: DataflowGraph,
 
 
 class AnalyticCost:
-    """Fitness callable backed by estimate_cost; safe to share across threads."""
-
-    parallel_safe = True
+    """Fitness callable backed by estimate_cost."""
 
     def __init__(self, graph: DataflowGraph, machine: MachineModel):
         self.graph = graph
@@ -129,8 +128,6 @@ class EmpiricalTimer:
     fitness with distinct diagnostics.  Evaluations are serialized: one
     candidate process at a time.
     """
-
-    parallel_safe = False
 
     def __init__(self, graph: DataflowGraph, toolchain=None,
                  extents: dict[str, int] | None = None, reps: int = 5,
@@ -170,7 +167,7 @@ def measure_empirical(org: Organism, graph: DataflowGraph, toolchain,
     from .lower import contract_arrays, lower
     from .runtime import (
         ToolchainError, max_rel_error, random_inputs, run_kernel,
-        time_binary, workdir,
+        time_binary,
     )
 
     def failure(kind: str, detail: str) -> CostReport:
@@ -185,26 +182,30 @@ def measure_empirical(org: Organism, graph: DataflowGraph, toolchain,
     source = kernel.source
     if source_filter is not None:
         source = source_filter(source)
-    wd = workdir()
     vext = validate_extents or extents
-    try:
-        lib = toolchain.compile(source, wd, name="kernel", shared=True)
-    except ToolchainError as exc:
-        return failure("compile-failure", str(exc))
-    inputs = random_inputs(graph, vext, seed=7)
-    try:
-        got = run_kernel(lib, kernel, graph, inputs, vext)
-    except Exception as exc:  # segfault surfaces as OSError from ctypes
-        return failure("runtime-crash", repr(exc))
-    want = reference_evaluate(graph.spec, inputs)
-    err = max_rel_error(got, want)
-    if not err < 1e-10:
-        return failure("numerical-mismatch", f"max relative error {err:.3e}")
-    try:
-        binary = toolchain.compile(source, wd, name="kernel_main")
-        seconds = time_binary(binary, extents, graph.extent_names, reps)
-    except ToolchainError as exc:
-        return failure("runtime-crash", str(exc))
+    with tempfile.TemporaryDirectory(prefix="matfuse-") as wd:
+        try:
+            lib = toolchain.compile(source, wd, name="kernel", shared=True)
+        except ToolchainError as exc:
+            return failure("compile-failure", str(exc))
+        inputs = random_inputs(graph, vext, seed=7)
+        try:
+            got = run_kernel(lib, kernel, graph, inputs, vext)
+        except Exception as exc:  # a ctypes error; a segfault ends the process
+            return failure("runtime-crash", repr(exc))
+        want = reference_evaluate(graph.spec, inputs)
+        err = max_rel_error(got, want)
+        if not err < 1e-10:
+            return failure("numerical-mismatch",
+                           f"max relative error {err:.3e}")
+        try:
+            binary = toolchain.compile(source, wd, name="kernel_main")
+        except ToolchainError as exc:
+            return failure("compile-failure", str(exc))
+        try:
+            seconds = time_binary(binary, extents, graph.extent_names, reps)
+        except ToolchainError as exc:
+            return failure("runtime-crash", str(exc))
     return CostReport(total=seconds, source="empirical")
 
 
@@ -217,7 +218,6 @@ class CachedFitness:
         self.hits = 0
         self.misses = 0
         self._table: dict[str, CostReport] = {}
-        self.parallel_safe = getattr(fn, "parallel_safe", False)
 
     def key(self, org: Organism) -> str:
         salt = self.fn.key_salt() if hasattr(self.fn, "key_salt") else ""

@@ -33,12 +33,25 @@ Semantic legality on top of that:
   reduced result;
 - profitability pruning (on by default): every fused set must be
   connected by shared operands.
+
+Every tree node carries ``mask``, the set of operations beneath it as a
+bitmask (bit i is op i), computed once when the node is built and left
+out of equality.  With the graph's per-op reachability and
+operand-sharing bitmasks, convexity of a set S is
+``down(S) & up(S) & ~S == 0``, sibling order is one AND per pair, and
+the shared-operand rule is a flood fill over bits; the op-by-op walk
+runs only to word the diagnostic of a set that fails.  Apart from
+coverage and slot numbering, every rule above is local to one root:
+its fused sets, siblings and reduction levels all lie inside it, and
+canonicalize only reorders roots.  So a forest whose roots each pass
+alone is legal exactly when its roots admit a topological order, which
+is what lets crossover check only the root it changed.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graph import DataflowGraph, OpNode
 
@@ -57,12 +70,26 @@ class SpaceError(ValueError):
 @dataclass(frozen=True)
 class OpLeaf:
     op_id: int
+    mask: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "mask", 1 << self.op_id)
+
+
+def _children_mask(node) -> None:
+    mask = 0
+    for child in node.children:
+        mask |= child.mask
+    object.__setattr__(node, "mask", mask)
 
 
 @dataclass(frozen=True)
 class LoopNode:
     axis: str
     children: tuple["IterNode", ...]
+    mask: int = field(init=False, repr=False, compare=False)  # ops beneath
+
+    __post_init__ = _children_mask
 
 
 @dataclass(frozen=True)
@@ -70,6 +97,9 @@ class PartitionNode:
     axis: str
     slot: int  # index into Organism.threads
     children: tuple["IterNode", ...]
+    mask: int = field(init=False, repr=False, compare=False)  # ops beneath
+
+    __post_init__ = _children_mask
 
 
 IterNode = OpLeaf | LoopNode | PartitionNode
@@ -133,27 +163,22 @@ def initial_forest(graph: DataflowGraph) -> Organism:
 # ---------------------------------------------------------------------------
 # Canonical form
 
-def _dep_between(a_ops: list[int], b_ops: list[int], graph: DataflowGraph) -> bool:
-    return any(graph.reaches(a, b) for a in a_ops for b in b_ops)
-
-
 def _order_children(children: list[IterNode], graph: DataflowGraph) -> list[IterNode]:
     """Topological order of sibling subtrees, ties broken by smallest op id."""
+    if len(children) < 2:
+        return list(children)
     remaining = list(children)
-    opsets = {id(c): ops_under(c) for c in remaining}
     out: list[IterNode] = []
     while remaining:
-        ready = [
-            c for c in remaining
-            if not any(
-                _dep_between(opsets[id(o)], opsets[id(c)], graph)
-                for o in remaining if o is not c
-            )
-        ]
+        ready = []
+        for c in remaining:
+            up = graph.up_of(c.mask)
+            if not any(up & o.mask for o in remaining if o is not c):
+                ready.append(c)
         if not ready:  # dependence cycle between siblings: leave order as-is
             out.extend(remaining)
             break
-        pick = min(ready, key=lambda c: min(opsets[id(c)]))
+        pick = min(ready, key=lambda c: c.mask & -c.mask)  # lowest op id
         out.append(pick)
         remaining.remove(pick)
     return out
@@ -454,10 +479,6 @@ def joint_partitions(
     return assignments
 
 
-def joint_axes(op_ids, graph) -> list[str]:
-    return [next(iter(a.values())).axis for a in joint_partitions(op_ids, graph)]
-
-
 # ---------------------------------------------------------------------------
 # Legality
 
@@ -513,6 +534,8 @@ def fusion_legal(
                     (node.op_id,),
                 )
             return None
+        if not node.children:
+            return Diagnostic("structure", f"empty {node.axis} level")
         if isinstance(node, PartitionNode):
             if not at_root:
                 return Diagnostic("structure",
@@ -547,38 +570,26 @@ def fusion_legal(
         return Diagnostic("structure", "thread counts must be positive")
 
     # -- fused-set rules ----------------------------------------------------
-    groups: list[tuple[IterNode, list[int]]] = []
+    groups: list[IterNode] = []
+    by_axis: dict[str, list[int]] = {}  # op masks of the loops/partitions
 
     def collect(node: IterNode):
         if isinstance(node, OpLeaf):
             return
-        ops = ops_under(node)
-        if len(ops) > 1:
-            groups.append((node, ops))
+        by_axis.setdefault(node.axis, []).append(node.mask)
+        if node.mask.bit_count() > 1:
+            groups.append(node)
         for child in node.children:
             collect(child)
 
     for root in org.forest:
         collect(root)
 
-    for node, ops in groups:
-        # dependence convexity: no path may leave and re-enter the set
-        inside = set(ops)
-        for a in ops:
-            for b in ops:
-                if a == b or not graph.reaches(a, b):
-                    continue
-                for x in graph.op_ids():
-                    if x in inside:
-                        continue
-                    if graph.reaches(a, x) and graph.reaches(x, b):
-                        return Diagnostic(
-                            "dependence",
-                            f"ops {a} and {b} are fused but depend through "
-                            f"op {x} outside the fused set",
-                            (a, x, b),
-                        )
-        if require_shared_operand and not _share_connected(ops, graph):
+    for node in groups:
+        if not _convex(node.mask, graph):
+            return dependence_diagnostic(ops_under(node), graph)
+        if require_shared_operand and not _share_connected(node.mask, graph):
+            ops = ops_under(node)
             return Diagnostic(
                 "shared-operand",
                 f"fused ops {ops} do not share operands",
@@ -587,14 +598,14 @@ def fusion_legal(
 
     # -- sibling and root order is topological -----------------------------
     def check_order(children: tuple[IterNode, ...]) -> Diagnostic | None:
-        sets = [ops_under(c) for c in children]
-        for later in range(len(sets)):
+        for later in range(1, len(children)):
+            down = graph.down_of(children[later].mask)
             for earlier in range(later):
-                if _dep_between(sets[later], sets[earlier], graph):
+                if down & children[earlier].mask:
                     return Diagnostic(
                         "order",
-                        f"subtree with ops {sets[later]} must run before "
-                        f"ops {sets[earlier]}",
+                        f"subtree with ops {ops_under(children[later])} must "
+                        f"run before ops {ops_under(children[earlier])}",
                     )
         for child in children:
             if not isinstance(child, OpLeaf):
@@ -608,50 +619,57 @@ def fusion_legal(
         return d
 
     # -- reduction barrier ---------------------------------------------------
-    paths = _leaf_paths(org)
     for op in graph.ops:
         red = op.nest.reduction_axis
-        if red is None or op.op_id not in paths:
+        if red is None:
             continue
         for consumer in graph.consumers_of(op.result):
-            if consumer.op_id not in paths:
+            pair = (1 << op.op_id) | (1 << consumer.op_id)
+            if any(m & pair == pair for m in by_axis.get(red, ())):
+                return Diagnostic(
+                    "reduction",
+                    f"op {consumer.op_id} reads {op.result}, the "
+                    f"destination of op {op.op_id}'s accumulation over "
+                    f"{red}, inside that {red} level",
+                    (op.op_id, consumer.op_id), red,
+                )
+    return None
+
+
+def _convex(ops: int, graph: DataflowGraph) -> bool:
+    """No dataflow path between two ops of the bitmask leaves it and re-enters."""
+    return not graph.down_of(ops) & graph.up_of(ops) & ~ops
+
+
+def dependence_diagnostic(ops: list[int], graph: DataflowGraph) -> Diagnostic | None:
+    """The dependence-convexity violation of a fused op set, or None."""
+    if _convex(sum(1 << o for o in set(ops)), graph):
+        return None
+    inside = set(ops)
+    for a in ops:
+        for b in ops:
+            if a == b or not graph.reaches(a, b):
                 continue
-            common = _common_prefix(paths[op.op_id], paths[consumer.op_id])
-            for node in common:
-                if not isinstance(node, OpLeaf) and node.axis == red:
+            for x in graph.op_ids():
+                if x not in inside and graph.reaches(a, x) \
+                        and graph.reaches(x, b):
                     return Diagnostic(
-                        "reduction",
-                        f"op {consumer.op_id} reads {op.result}, the "
-                        f"destination of op {op.op_id}'s accumulation over "
-                        f"{red}, inside that {red} level",
-                        (op.op_id, consumer.op_id), red,
+                        "dependence",
+                        f"ops {a} and {b} are fused but depend through "
+                        f"op {x} outside the fused set",
+                        (a, x, b),
                     )
     return None
 
 
-def _common_prefix(a: tuple, b: tuple) -> tuple:
-    out = []
-    for x, y in zip(a, b):
-        if x is y:
-            out.append(x)
-        else:
-            break
-    return tuple(out)
-
-
-def _share_connected(ops: list[int], graph: DataflowGraph) -> bool:
-    if len(ops) <= 1:
-        return True
-    todo = {ops[0]}
-    seen = set()
-    rest = set(ops)
-    while todo:
-        cur = todo.pop()
-        seen.add(cur)
-        for other in rest - seen:
-            if graph.share_operand(cur, other):
-                todo.add(other)
-    return seen == rest
+def _share_connected(ops: int, graph: DataflowGraph) -> bool:
+    """The ops of the bitmask are connected by shared data nodes."""
+    reached = ops & -ops
+    while True:
+        grown = reached | graph.share_of(reached) & ops
+        if grown == reached:
+            return reached == ops
+        reached = grown
 
 
 # ---------------------------------------------------------------------------
@@ -677,11 +695,10 @@ def contracted_temporaries(org: Organism, graph: DataflowGraph) -> set[str]:
                 c.op_id not in paths for c in consumers):
             continue
         labels = {graph._label_of[d] for d in node.dims}
-        common = paths[producer.op_id]
-        for consumer in consumers:
-            common = _common_prefix(common, paths[consumer.op_id])
-        shared_loops = {
-            n.axis for n in common if isinstance(n, LoopNode)
+        users = sum(1 << c.op_id for c in consumers)
+        shared_loops = {  # the producer's loops around every consumer
+            n.axis for n in paths[producer.op_id]
+            if isinstance(n, LoopNode) and n.mask & users == users
         }
         if labels <= shared_loops:
             out.add(name)
@@ -756,8 +773,8 @@ def _root_shapes(ops: list[int], graph: DataflowGraph, limits: Limits):
     for tree in _group_trees(ops, 0, graph):
         yield tree
     if limits.partitions:
-        axes = joint_axes(ops, graph)
-        for axis in axes:
+        for assignment in joint_partitions(ops, graph):
+            axis = next(iter(assignment.values())).axis
             for parts in _set_partitions(ops):
                 options = []
                 ok = True

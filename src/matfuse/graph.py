@@ -160,7 +160,15 @@ class DataflowGraph:
     ops: list[OpNode]
     extent_names: tuple[str, ...] = ()
     typed: bool = False
-    _reach: dict[int, frozenset[int]] = field(default_factory=dict, repr=False)
+    # per-op bitmasks (bit i = op i), built on first use: the ops each op
+    # reaches, the ops reaching it, the ops sharing a data node with it
+    _down: list[int] = field(default_factory=list, repr=False, compare=False)
+    _up: list[int] = field(default_factory=list, repr=False, compare=False)
+    _share: list[int] = field(default_factory=list, repr=False, compare=False)
+    _memo: dict[tuple[int, int], int] = field(default_factory=dict,
+                                              repr=False, compare=False)
+    _consumers: dict[str, list[OpNode]] = field(default_factory=dict,
+                                                repr=False, compare=False)
     _label_of: dict[str, str] = field(default_factory=dict, repr=False)
 
     def op(self, op_id: int) -> OpNode:
@@ -176,7 +184,11 @@ class DataflowGraph:
         return None
 
     def consumers_of(self, name: str) -> list[OpNode]:
-        return [op for op in self.ops if any(r.name == name for r in op.operands)]
+        if name not in self._consumers:
+            self._consumers[name] = [
+                op for op in self.ops if any(r.name == name for r in op.operands)
+            ]
+        return self._consumers[name]
 
     def edges(self) -> set[tuple[int | str, int]]:
         """Producer -> consumer edges; sources are op ids or input names."""
@@ -197,28 +209,62 @@ class DataflowGraph:
 
     def reaches(self, src: int, dst: int) -> bool:
         """True when a dataflow path leads from op src to op dst."""
-        if not self._reach:
-            self._build_reach()
-        return dst in self._reach[src]
+        return bool(self._masks()[0][src] >> dst & 1)
 
-    def _build_reach(self):
-        succ: dict[int, set[int]] = {op.op_id: set() for op in self.ops}
-        for op in self.ops:
-            for pred in self.predecessors(op.op_id):
-                succ[pred].add(op.op_id)
-        for op_id in reversed([op.op_id for op in self.ops]):
-            closed = set(succ[op_id])
-            for nxt in succ[op_id]:
-                closed |= self._reach.get(nxt, frozenset())
-            self._reach[op_id] = frozenset(closed)
+    def down_of(self, ops: int) -> int:
+        """Bitmask of the ops some op in the bitmask `ops` reaches."""
+        return self._union(0, ops)
+
+    def up_of(self, ops: int) -> int:
+        """Bitmask of the ops reaching some op in the bitmask `ops`."""
+        return self._union(1, ops)
+
+    def share_of(self, ops: int) -> int:
+        """Bitmask of the ops sharing a data node with some op in `ops`."""
+        return self._union(2, ops)
+
+    def _union(self, table: int, ops: int) -> int:
+        # memoized per op set: a search meets the same few subtrees again
+        # and again, and there are at most 2^n of them
+        key = (table, ops)
+        if key not in self._memo:
+            self._memo[key] = _or_rows(self._masks()[table], ops)
+        return self._memo[key]
+
+    def _masks(self) -> tuple[list[int], list[int], list[int]]:
+        # ops are numbered 1..n in statement order and every edge runs
+        # forward, so one reverse sweep closes the successor relation
+        if not self._down:
+            ids = range(1, len(self.ops) + 1)
+            succ = [0] * (len(self.ops) + 1)
+            for i in ids:
+                for pred in self.predecessors(i):
+                    succ[pred] |= 1 << i
+            down = [0] * len(succ)
+            for i in reversed(ids):
+                down[i] = succ[i] | _or_rows(down, succ[i])
+            self._up = [0] + [sum(1 << j for j in ids if down[j] >> i & 1)
+                              for i in ids]
+            self._share = [0] + [
+                sum(1 << j for j in ids if self.share_operand(i, j))
+                for i in ids
+            ]
+            self._down = down
+        return self._down, self._up, self._share
 
     def share_operand(self, a: int, b: int) -> bool:
         """Fusion-candidate predicate: the ops read or write a common data node."""
         return bool(self.op(a).data_names() & self.op(b).data_names())
 
 
-def share_operand(op_a: int, op_b: int, graph: DataflowGraph) -> bool:
-    return graph.share_operand(op_a, op_b)
+def _or_rows(table: list[int], ops: int) -> int:
+    """OR of table[i] over the bits i set in `ops`."""
+    out = 0
+    while ops:
+        low = ops & -ops
+        out |= table[low.bit_length() - 1]
+        ops ^= low
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ or outputs and never changes results; it only relabels storage.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass, field, replace
 
 from .fuse import (
@@ -92,6 +93,13 @@ class LoopIR:
     def region_count(self) -> int:
         return sum(1 for it in self.roots if isinstance(it, IRParallel))
 
+    def partial_for(self, result: str) -> Storage | None:
+        """The per-thread partial buffer feeding `result`, if any."""
+        for s in self.storage.values():
+            if s.cls == "partial" and s.base == result:
+                return s
+        return None
+
 
 def _storage_for(graph: DataflowGraph) -> dict[str, Storage]:
     from .graph import ROW_MAJOR, is_vector
@@ -162,18 +170,11 @@ def lower(org: Organism, graph: DataflowGraph) -> LoopIR:
     return ir
 
 
-def _unique(table: dict[str, Storage], want: str) -> str:
+def _unique(taken: Container[str], want: str) -> str:
     name = want
-    while name in table:
+    while name in taken:
         name += "_"
     return name
-
-
-def _partial_of(ir: LoopIR, result: str) -> str | None:
-    for s in ir.storage.values():
-        if s.cls == "partial" and s.base == result:
-            return s.name
-    return None
 
 
 def _insert_inits(ir: LoopIR):
@@ -228,8 +229,8 @@ def _init_item(ir: LoopIR, op_id: int, in_scope: tuple[str, ...],
     """
     op = ir.graph.op(op_id)
     result = op.result
-    partial = _partial_of(ir, result)
-    target = partial or result
+    partial = ir.partial_for(result)
+    target = partial.name if partial else result
     labels = ir.storage[result].labels
     item: IRLoop | IRStmt = IRStmt("init", op_id, target)
     extent_of = {ax.label: ax.extent for ax in op.nest.axes}

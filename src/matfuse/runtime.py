@@ -9,6 +9,7 @@ standalone binary and parses the "seconds <float>" line it prints.
 
 from __future__ import annotations
 
+import atexit
 import ctypes
 import os
 import shlex
@@ -192,4 +193,9 @@ def time_binary(binary: Path, extents: dict[str, int],
 
 
 def workdir() -> Path:
-    return Path(tempfile.mkdtemp(prefix="matfuse-"))
+    """A scratch directory that lives until the process exits, for callers
+    that keep a loaded kernel beyond one block; the program itself builds
+    inside tempfile.TemporaryDirectory."""
+    path = tempfile.mkdtemp(prefix="matfuse-")
+    atexit.register(shutil.rmtree, path, True)
+    return Path(path)

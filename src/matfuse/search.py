@@ -102,6 +102,28 @@ def _with_threads(org: Organism, value: int) -> Organism:
     return Organism(org.forest, (value,) * len(org.threads))
 
 
+def _with_children(node: IterNode, children: tuple[IterNode, ...]) -> IterNode:
+    if isinstance(node, PartitionNode):
+        return PartitionNode(node.axis, node.slot, children)
+    return LoopNode(node.axis, children)
+
+
+def replace_at(forest: tuple[IterNode, ...], path: tuple[int, ...],
+               node: IterNode) -> tuple[IterNode, ...]:
+    """The forest with the node at `path` (a root index, then child
+    indices) replaced by `node`."""
+    def swap(cur: IterNode, rest: tuple[int, ...]) -> IterNode:
+        if not rest:
+            return node
+        kids = list(cur.children)
+        kids[rest[0]] = swap(kids[rest[0]], rest[1:])
+        return _with_children(cur, tuple(kids))
+
+    roots = list(forest)
+    roots[path[0]] = swap(roots[path[0]], path[1:])
+    return tuple(roots)
+
+
 def _rebuild(roots: list[tuple[IterNode, int | None]],
              graph: DataflowGraph) -> Organism:
     """Build an organism from (root, thread-count-or-None) pairs."""
@@ -136,53 +158,28 @@ def _choice_order(assignments, graph) -> list:
 
 
 def _merge_loop_siblings(org: Organism, graph: DataflowGraph) -> Organism:
-    """Greedily merge sibling loop nodes of equal axis while legal, deepest
-    first: one accepted merge restarts the scan."""
-    def try_nodes(path_rebuild, children):
-        for ia in range(len(children)):
-            for ib in range(ia + 1, len(children)):
-                a, b = children[ia], children[ib]
-                if not (isinstance(a, LoopNode) and isinstance(b, LoopNode)):
-                    continue
-                if a.axis != b.axis:
-                    continue
-                merged = LoopNode(a.axis, a.children + b.children)
-                trial = [c for k, c in enumerate(children) if k not in (ia, ib)]
-                trial.insert(ia, merged)
-                cand = path_rebuild(tuple(trial))
-                if fusion_legal(cand, graph) is None:
-                    return cand
-        return None
-
+    """Greedily merge sibling loop nodes of equal axis while legal, outermost
+    first (breadth-first within each root): one accepted merge restarts the
+    scan."""
     def scan(org: Organism) -> Organism | None:
         for ridx, root in enumerate(org.forest):
-            stack = [(root, [])]
-            while stack:
-                node, path = stack.pop(0)
+            queue: list[tuple[IterNode, tuple[int, ...]]] = [(root, (ridx,))]
+            while queue:
+                node, path = queue.pop(0)
                 if isinstance(node, OpLeaf):
                     continue
-
-                def rebuild_at(new_children, node=node, path=path, ridx=ridx):
-                    cur = (PartitionNode(node.axis, node.slot, new_children)
-                           if isinstance(node, PartitionNode)
-                           else LoopNode(node.axis, new_children))
-                    for parent, idx in reversed(path):
-                        kids = list(parent.children)
-                        kids[idx] = cur
-                        cur = (PartitionNode(parent.axis, parent.slot,
-                                             tuple(kids))
-                               if isinstance(parent, PartitionNode)
-                               else LoopNode(parent.axis, tuple(kids)))
-                    forest = list(org.forest)
-                    forest[ridx] = cur
-                    return canonicalize(Organism(tuple(forest), org.threads),
-                                        graph)
-
-                cand = try_nodes(rebuild_at, list(node.children))
-                if cand is not None:
-                    return cand
-                for idx, child in enumerate(node.children):
-                    stack.append((child, path + [(node, idx)]))
+                kids = node.children
+                for ia in range(len(kids)):
+                    for ib in range(ia + 1, len(kids)):
+                        a, b = kids[ia], kids[ib]
+                        if isinstance(a, LoopNode) and isinstance(b, LoopNode) \
+                                and a.axis == b.axis:
+                            cand = _apply_sibling_merge(
+                                org, graph, ("siblings", path, node, ia, ib))
+                            if fusion_legal(cand, graph) is None:
+                                return cand
+                for idx, child in enumerate(kids):
+                    queue.append((child, path + (idx,)))
         return None
 
     while True:
@@ -285,7 +282,8 @@ def _loop_fusion_sites(org: Organism):
                     and org.threads[a.slot] == org.threads[b.slot]:
                 merged = PartitionNode(a.axis, a.slot, a.children + b.children)
                 sites.append(("roots", ia, ib, merged))
-    # sibling loop-node pairs anywhere
+    # sibling loop-node pairs anywhere; a path is a root index, then
+    # child indices
     def walk(node, path):
         if isinstance(node, OpLeaf):
             return
@@ -297,10 +295,10 @@ def _loop_fusion_sites(org: Organism):
                         and a.axis == b.axis:
                     sites.append(("siblings", path, node, ia, ib))
         for idx, child in enumerate(kids):
-            walk(child, path + [(node, idx)])
+            walk(child, path + (idx,))
 
     for ridx, root in enumerate(org.forest):
-        walk(root, [("root", ridx)])
+        walk(root, (ridx,))
     return sites
 
 
@@ -320,20 +318,8 @@ def _apply_sibling_merge(org, graph, site) -> Organism:
     merged = LoopNode(kids[ia].axis, kids[ia].children + kids[ib].children)
     kids = [c for k, c in enumerate(kids) if k not in (ia, ib)]
     kids.insert(ia, merged)
-    cur = (PartitionNode(node.axis, node.slot, tuple(kids))
-           if isinstance(node, PartitionNode) else LoopNode(node.axis,
-                                                            tuple(kids)))
-    # path[0] is ("root", ridx); the rest are (parent, idx)
-    for parent, idx in reversed(path[1:]):
-        pk = list(parent.children)
-        pk[idx] = cur
-        cur = (PartitionNode(parent.axis, parent.slot, tuple(pk))
-               if isinstance(parent, PartitionNode)
-               else LoopNode(parent.axis, tuple(pk)))
-    ridx = path[0][1]
-    forest = list(org.forest)
-    forest[ridx] = cur
-    return canonicalize(Organism(tuple(forest), org.threads), graph)
+    forest = replace_at(org.forest, path, _with_children(node, tuple(kids)))
+    return canonicalize(Organism(forest, org.threads), graph)
 
 
 def _split_sites(org: Organism):
@@ -346,44 +332,30 @@ def _split_sites(org: Organism):
             for pos in range(1, len(node.children)):
                 sites.append((path, node, pos))
         for idx, child in enumerate(node.children):
-            walk(child, path + [(node, idx)])
+            walk(child, path + (idx,))
 
     for ridx, root in enumerate(org.forest):
-        walk(root, [("root", ridx)])
+        walk(root, (ridx,))
     return sites
 
 
 def _apply_split(org, graph, site) -> Organism:
     path, node, pos = site
-    left_kids, right_kids = node.children[:pos], node.children[pos:]
-    if isinstance(node, PartitionNode):
-        left = PartitionNode(node.axis, node.slot, left_kids)
-        right = PartitionNode(node.axis, node.slot, right_kids)
-    else:
-        left = LoopNode(node.axis, left_kids)
-        right = LoopNode(node.axis, right_kids)
+    left = _with_children(node, node.children[:pos])
+    right = _with_children(node, node.children[pos:])
     if len(path) == 1:  # splitting a root: two roots
-        ridx = path[0][1]
         pairs = _root_pairs(org)
         t = org.threads[node.slot] if isinstance(node, PartitionNode) else None
-        pairs[ridx:ridx + 1] = [(left, t), (right, t)]
+        pairs[path[0]:path[0] + 1] = [(left, t), (right, t)]
         return _rebuild(pairs, graph)
-    parent, idx = path[-1]
+    parent = org.forest[path[0]]
+    for idx in path[1:-1]:
+        parent = parent.children[idx]
     kids = list(parent.children)
-    kids[idx:idx + 1] = [left, right]
-    cur = (PartitionNode(parent.axis, parent.slot, tuple(kids))
-           if isinstance(parent, PartitionNode)
-           else LoopNode(parent.axis, tuple(kids)))
-    for p, i in reversed(path[1:-1]):
-        pk = list(p.children)
-        pk[i] = cur
-        cur = (PartitionNode(p.axis, p.slot, tuple(pk))
-               if isinstance(p, PartitionNode) else LoopNode(p.axis,
-                                                             tuple(pk)))
-    ridx = path[0][1]
-    forest = list(org.forest)
-    forest[ridx] = cur
-    return canonicalize(Organism(tuple(forest), org.threads), graph)
+    kids[path[-1]:path[-1] + 1] = [left, right]
+    forest = replace_at(org.forest, path[:-1],
+                        _with_children(parent, tuple(kids)))
+    return canonicalize(Organism(forest, org.threads), graph)
 
 
 def mutate(org: Organism, graph: DataflowGraph, rng: random.Random,
@@ -487,7 +459,7 @@ def random_organism(graph: DataflowGraph, rng: random.Random,
 def _partition_info(org: Organism, op_id: int) -> tuple[str, int] | None:
     """(axis, thread count) of the partition over an op, or None."""
     for root in org.forest:
-        if op_id in ops_under(root):
+        if root.mask >> op_id & 1:
             if isinstance(root, PartitionNode):
                 return root.axis, org.threads[root.slot]
             return None
@@ -508,39 +480,55 @@ class _MRoot:
     def clone(self) -> "_MRoot":
         return _MRoot(self.partition, list(self.trees))
 
-    def ops(self) -> list[int]:
-        out: list[int] = []
+    def mask(self) -> int:
+        out = 0
         for t in self.trees:
-            out.extend(ops_under(t))
+            out |= t.mask
         return out
+
+    def pairs(self) -> list[tuple[IterNode, int | None]]:
+        if self.partition is not None:
+            axis, t = self.partition
+            return [(PartitionNode(axis, 0, tuple(self.trees)), t)]
+        # bare roots hold exactly one tree; siblings become roots
+        return [(tree, None) for tree in self.trees]
 
 
 def _materialize(roots: list[_MRoot], graph: DataflowGraph) -> Organism:
-    pairs: list[tuple[IterNode, int | None]] = []
-    for r in roots:
-        if r.partition is not None:
-            axis, t = r.partition
-            pairs.append((PartitionNode(axis, 0, tuple(r.trees)), t))
-        else:
-            if len(r.trees) == 1:
-                pairs.append((r.trees[0], None))
-            else:
-                # bare roots hold exactly one tree; siblings become roots
-                for tree in r.trees:
-                    pairs.append((tree, None))
-    forest = []
-    threads = []
-    for node, t in pairs:
-        if isinstance(node, PartitionNode):
-            forest.append(PartitionNode(node.axis, len(threads), node.children))
-            threads.append(t if t else 1)
-        else:
-            forest.append(node)
-    return canonicalize(Organism(tuple(forest), tuple(threads)), graph)
+    return _rebuild([p for r in roots for p in r.pairs()], graph)
 
 
-def _level_nodes(org: Organism) -> list[dict[int, int]]:
-    """levels[d][op] = identity of the node op shares at that level
+def _roots_ordered(masks: list[int], graph: DataflowGraph) -> bool:
+    """The disjoint op sets admit a topological order (no dependence cycle)."""
+    while masks:
+        union = 0
+        for m in masks:
+            union |= m
+        rest = [m for m in masks if graph.up_of(m) & union & ~m]
+        if len(rest) == len(masks):
+            return False
+        masks = rest
+    return True
+
+
+def _placement_legal(roots: list[_MRoot], changed: int,
+                     graph: DataflowGraph) -> bool:
+    """Whether a growing child stays legal after roots[changed] took an op.
+
+    Checks that root alone, then that all roots can be ordered.  This
+    equals fusion_legal(_materialize(roots), graph, partial=True) when
+    every other root passed it before: the fused-set, sibling-order and
+    reduction rules never span two roots, canonicalize only reorders
+    roots, and coverage and dense slots hold by construction.
+    """
+    alone = _materialize([roots[changed]], graph)
+    if fusion_legal(alone, graph, partial=True) is not None:
+        return False
+    return _roots_ordered([r.mask() for r in roots], graph)
+
+
+def _level_masks(org: Organism) -> list[dict[int, int]]:
+    """levels[d][op] = op mask of the node op shares at that level
     (0 = root, d >= 1 = d-th loop node on its path)."""
     levels: list[dict[int, int]] = [{}]
 
@@ -552,13 +540,13 @@ def _level_nodes(org: Organism) -> list[dict[int, int]]:
             while len(levels) <= nxt:
                 levels.append({})
             for op in ops_under(node):
-                levels[nxt][op] = id(node)
+                levels[nxt][op] = node.mask
         for child in node.children:
             walk(child, nxt)
 
     for root in org.forest:
         for op in ops_under(root):
-            levels[0][op] = id(root)
+            levels[0][op] = root.mask
         walk(root, 0)
     return levels
 
@@ -577,7 +565,7 @@ def _insert_into_tree(tree: IterNode, op_id: int, depth: int,
     parent = coin()
     mates = mates_at(parent, depth + 2, op_id)  # children are level depth+2
     for idx, child in enumerate(tree.children):
-        if isinstance(child, LoopNode) and set(ops_under(child)) & mates:
+        if isinstance(child, LoopNode) and child.mask & mates:
             deeper = _insert_into_tree(child, op_id, depth + 1, graph,
                                        mates_at, coin)
             if deeper is not None:
@@ -600,57 +588,46 @@ def crossover(parent_a: Organism, parent_b: Organism,
     the other parent, then to a standalone unfused root, so the child is
     always legal.
     """
-    parents = {0: (parent_a, _level_nodes(parent_a)),
-               1: (parent_b, _level_nodes(parent_b))}
+    parents = (parent_a, parent_b)
+    levels = (_level_masks(parent_a), _level_masks(parent_b))
 
-    def mates_at(which: int, level: int, op_id: int) -> set[int]:
-        _, levels = parents[which]
-        if level >= len(levels) or op_id not in levels[level]:
-            return set()
-        node = levels[level][op_id]
-        return {o for o, n in levels[level].items() if n == node and o != op_id}
+    def mates_at(which: int, level: int, op_id: int) -> int:
+        if level >= len(levels[which]):
+            return 0
+        return levels[which][level].get(op_id, 0) & ~(1 << op_id)
 
     roots: list[_MRoot] = []
 
     def attempt(op_id: int, which: int) -> list[_MRoot] | None:
-        trial = [r.clone() for r in roots]
-        org, levels = parents[which]
-        mates0 = mates_at(which, 0, op_id) & set(
-            o for r in trial for o in r.ops()
-        )
-        target: _MRoot | None = None
-        if mates0:
-            pick = min(mates0)
-            for r in trial:
-                if pick in r.ops():
-                    target = r
-                    break
+        present = 0
+        for r in roots:
+            present |= r.mask()
+        mates0 = mates_at(which, 0, op_id) & present
         coin = lambda: rng.randrange(2)
-        if target is None:
-            info = _partition_info(org, op_id)
-            target = _MRoot(info, [full_nest(graph.op(op_id))])
-            trial.append(target)
+        if not mates0:
+            idx = len(roots)
+            target = _MRoot(_partition_info(parents[which], op_id),
+                            [full_nest(graph.op(op_id))])
         else:
+            pick = mates0 & -mates0  # the lowest mate op
+            idx = next(k for k, r in enumerate(roots) if r.mask() & pick)
+            target = roots[idx].clone()
             placed = False
-            parent1 = coin()
-            mates1 = mates_at(parent1, 1, op_id)
-            for idx, tree in enumerate(target.trees):
-                if isinstance(tree, LoopNode) \
-                        and set(ops_under(tree)) & mates1:
+            mates1 = mates_at(coin(), 1, op_id)
+            for k, tree in enumerate(target.trees):
+                if isinstance(tree, LoopNode) and tree.mask & mates1:
                     new_tree = _insert_into_tree(
                         tree, op_id, 0, graph, mates_at, coin)
                     if new_tree is not None:
-                        target.trees[idx] = new_tree
+                        target.trees[k] = new_tree
                         placed = True
                     break
             if not placed:
                 if target.partition is None:
                     return None  # bare root cannot hold unfused siblings
                 target.trees.append(full_nest(graph.op(op_id)))
-        cand = _materialize(trial, graph)
-        if fusion_legal(cand, graph, partial=True) is None:
-            return trial
-        return None
+        trial = roots[:idx] + [target] + roots[idx + 1:]
+        return trial if _placement_legal(trial, idx, graph) else None
 
     for op_id in graph.op_ids():
         first = rng.randrange(2)

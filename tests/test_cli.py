@@ -1,4 +1,5 @@
 import json
+import tempfile
 
 from matfuse.cli import main
 from matfuse.corpus import kernel_path
@@ -166,3 +167,24 @@ class TestCorpus:
                               str(tmp_path), "--no-validate")
         assert code == 1
         assert "no kernels found" in stderr
+
+
+def test_validation_leaves_no_temp_dirs(tmp_path, capsys, monkeypatch,
+                                        toolchain):
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setenv("TMPDIR", str(scratch))
+    monkeypatch.setattr(tempfile, "tempdir", None)
+    code, stdout, _ = run(capsys, "compile", BATAX, "-o",
+                          str(tmp_path / "k.c"), "--extents", "20,20")
+    assert code == 0 and "validated" in stdout
+    assert not list(scratch.glob("matfuse-*"))
+
+
+def test_empty_loop_is_a_structure_error(tmp_path, capsys):
+    code, _, stderr = run(
+        capsys, "compile", BATAX, "-o", str(tmp_path / "k.c"),
+        "--no-validate", "--organism", "{_i}{{1}}{{2}}{{3}}",
+    )
+    assert code == 2
+    assert "structure" in stderr

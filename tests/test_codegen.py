@@ -1,10 +1,12 @@
 import random
+import subprocess
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from matfuse.cemit import emit_c
+from matfuse.corpus import available, load_graph
 from matfuse.fuse import (
     Limits, LoopNode, PartitionNode, enumerate_space, initial_forest,
     parse_notation,
@@ -258,3 +260,45 @@ def test_contracted_scalar_name_avoids_user_identifiers(toolchain):
     ir, kernel = build(g, org, {"M": 8})
     assert "double t0_s_" in kernel.source
     check_against_reference(g, org, {"M": 8}, toolchain)
+
+
+class TestTimingMain:
+    """main's own locals and helpers never shadow a kernel's names."""
+
+    @pytest.mark.parametrize("name", available())
+    def test_every_bundled_kernel_builds_and_runs(self, name, toolchain,
+                                                  tmp_path):
+        g = load_graph(name)
+        ext = {n: 24 for n in g.extent_names}
+        _, kernel = build(g, max_fuse(g, 2), ext)
+        binary = toolchain.compile(kernel.source, tmp_path, name="kmain")
+        assert time_binary(binary, ext, g.extent_names, reps=1) >= 0
+
+    def test_arrays_named_like_main_locals(self, toolchain, tmp_path):
+        g = infer_types(build_dataflow(parse_kernel(
+            "CLASH in: best : matrix(row), q : vector(column), "
+            "r : vector(column) out: checksum : vector(column) "
+            "{ checksum = best * q + r }")))
+        M, N = 5, 7
+        _, kernel = build(g, max_fuse(g, 2), {"M": M, "N": N})
+        assert "double checksum_ = 0.0;" in kernel.source
+        assert "for (size_t q_ = 0;" in kernel.source
+        binary = toolchain.compile(kernel.source, tmp_path, name="kmain")
+        proc = subprocess.run([str(binary), str(M), str(N), "1"],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        printed = dict(line.split() for line in proc.stdout.splitlines())
+        state = 88172645463325252  # main's LCG fills inputs in order
+
+        def draws(n):
+            nonlocal state
+            out = []
+            for _ in range(n):
+                state = (state * 6364136223846793005
+                         + 1442695040888963407) % 2 ** 64
+                out.append((state >> 11) / 9007199254740992.0)
+            return np.array(out)
+
+        best, q, r = draws(M * N).reshape(M, N), draws(N), draws(M)
+        assert float(printed["checksum"]) == pytest.approx(
+            float(np.sum(best @ q + r)), rel=1e-12)

@@ -1,4 +1,5 @@
 import math
+import tempfile
 
 from matfuse.cost import (
     EmpiricalTimer, MachineModel, cached, estimate_cost, measure_empirical,
@@ -179,3 +180,27 @@ class TestEmpirical:
         timer = EmpiricalTimer(batax, toolchain, {"M": 64, "N": 64}, reps=1)
         report = timer(initial_forest(batax))
         assert report.source == "empirical" and not report.failed
+
+
+class TestEmpiricalHygiene:
+    def test_broken_timing_main_reports_compile_failure(self, batax,
+                                                        toolchain):
+        guard = "#ifndef MATFUSE_NO_MAIN"
+        report = measure_empirical(
+            initial_forest(batax), batax, toolchain, {"M": 50, "N": 50},
+            reps=1, source_filter=lambda s: s.replace(
+                guard, guard + "\n#error broken timing main", 1),
+        )
+        assert report.failed
+        assert report.diagnostic.startswith("compile-failure")
+
+    def test_evaluations_leave_no_temp_dirs(self, batax, toolchain, tmp_path,
+                                            monkeypatch):
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        timer = EmpiricalTimer(batax, toolchain, {"M": 32, "N": 32}, reps=1)
+        assert not timer(max_fuse(batax, 2)).failed
+        broken = EmpiricalTimer(batax, toolchain, {"M": 32, "N": 32}, reps=1,
+                                source_filter=lambda s: s + "#error x\n")
+        assert broken(max_fuse(batax, 2)).failed
+        assert not list(tmp_path.glob("matfuse-*"))
