@@ -79,13 +79,17 @@ class _Emitter:
         self.w = _Writer()
         self.declared_contracted: set[str] = set()
         # collision-safe local names for contracted scalars
-        self.scalar_names: dict[str, str] = {}
-        for name, s in ir.storage.items():
-            if s.cls == "contracted":
-                local = f"{name}_s"
-                while local in ir.storage:
-                    local += "_"
-                self.scalar_names[name] = local
+        self.scalar_names = {name: _unique(ir.storage, f"{name}_s")
+                             for name, s in ir.storage.items()
+                             if s.cls == "contracted"}
+        # the kernel's own names, which the body's fixed names must avoid
+        self.taken = {*ir.storage, *self.scalar_names.values(),
+                      *self.graph.extent_names,
+                      *(a.label for op in self.graph.ops for a in op.nest.axes)}
+
+    def name(self, want: str) -> str:
+        """`want`, or `want` plus underscores when the kernel uses it."""
+        return _unique(self.taken, want)
 
     # -- reference rendering -------------------------------------------------
 
@@ -164,7 +168,8 @@ class _Emitter:
     def emit_loop(self, loop: IRLoop, block: str | None, in_region: bool):
         v = loop.axis
         if loop.sliced:
-            rng = f"long {v} = {v}_lo; {v} < {v}_hi; ++{v}"
+            lo, hi = self.name(f"{v}_lo"), self.name(f"{v}_hi")
+            rng = f"long {v} = {lo}; {v} < {hi}; ++{v}"
         else:
             rng = f"long {v} = 0; {v} < {loop.extent}; ++{v}"
         self.w.open(f"for ({rng})")
@@ -173,7 +178,7 @@ class _Emitter:
 
     def emit_region(self, region: IRParallel):
         t = self.ir.organism.threads[region.slot]
-        block = f"p{region.slot}"
+        block = self.name(f"p{region.slot}")
         for result in region.partials:
             p = self.ir.partial_for(result)
             size = " * ".join([str(t)] + [f"(size_t){e}" for e in p.extents])
@@ -186,8 +191,9 @@ class _Emitter:
         )
         self.w.open(f"for (long {block} = 0; {block} < {t}; ++{block})")
         ax, ext = region.axis, region.extent
-        self.w.put(f"long {ax}_lo = ({ext} * {block}) / {t};")
-        self.w.put(f"long {ax}_hi = ({ext} * ({block} + 1)) / {t};")
+        lo, hi = self.name(f"{ax}_lo"), self.name(f"{ax}_hi")
+        self.w.put(f"long {lo} = ({ext} * {block}) / {t};")
+        self.w.put(f"long {hi} = ({ext} * ({block} + 1)) / {t};")
         self.emit_items(region.body, block, True)
         self.w.close()
         for result in region.partials:
@@ -197,22 +203,24 @@ class _Emitter:
 
     def emit_join(self, result: str, t: int):
         p = self.ir.partial_for(result)
-        res = self.ir.storage[result]
+        b = self.name("b")
         if not p.extents:  # scalar reduction
-            self.w.put(f"double {result}_acc = {p.name}[0];")
-            self.w.open(f"for (long b = 1; b < {t}; ++b)")
-            self.w.put(f"{result}_acc += {p.name}[b];")
+            acc = self.name(f"{result}_acc")
+            self.w.put(f"double {acc} = {p.name}[0];")
+            self.w.open(f"for (long {b} = 1; {b} < {t}; ++{b})")
+            self.w.put(f"{acc} += {p.name}[{b}];")
             self.w.close()
-            self.w.put(f"{self.ref(result)} = {result}_acc;")
+            self.w.put(f"{self.ref(result)} = {acc};")
             return
         assert len(p.extents) == 1, "only vector/scalar reductions join"
         lab, ext = p.labels[0], p.extents[0]
+        acc = self.name("acc")
         self.w.open(f"for (long {lab} = 0; {lab} < {ext}; ++{lab})")
-        self.w.put(f"double acc = {p.name}[{lab}];")
-        self.w.open(f"for (long b = 1; b < {t}; ++b)")
-        self.w.put(f"acc += {p.name}[b * ({ext}) + {lab}];")
+        self.w.put(f"double {acc} = {p.name}[{lab}];")
+        self.w.open(f"for (long {b} = 1; {b} < {t}; ++{b})")
+        self.w.put(f"{acc} += {p.name}[{b} * ({ext}) + {lab}];")
         self.w.close()
-        self.w.put(f"{self.ref(result)} = acc;")
+        self.w.put(f"{self.ref(result)} = {acc};")
         self.w.close()
 
 

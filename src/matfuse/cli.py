@@ -17,8 +17,6 @@ import argparse
 import json
 import logging
 import sys
-import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -30,12 +28,9 @@ from .fuse import (
     parse_notation,
 )
 from .graph import TypeCheckError, build_dataflow, infer_types
-from .interp import reference_evaluate
 from .lang import KernelSpecError, KernelSyntaxError, parse_kernel
 from .lower import contract_arrays, lower
-from .runtime import (
-    Toolchain, ToolchainError, max_rel_error, random_inputs, run_kernel,
-)
+from .runtime import Toolchain, ToolchainError, validation_error
 from .search import STRATEGIES, SearchConfig, max_fuse, run_strategy
 
 logger = logging.getLogger(__name__)
@@ -43,25 +38,6 @@ logger = logging.getLogger(__name__)
 EXIT_USAGE = 1
 EXIT_KERNEL = 2
 EXIT_TOOLCHAIN = 3
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything one search run needs: kernel file, strategy, search
-    configuration, exactly one fitness source, and output paths."""
-
-    kernel_file: Path
-    strategy: str
-    config: SearchConfig
-    fitness_kind: str  # "analytic" | "empirical"
-    extents: dict[str, int]
-    out_dir: Path
-
-    def __post_init__(self):
-        if not self.kernel_file.exists():
-            raise FileNotFoundError(self.kernel_file)
-        if self.fitness_kind not in ("analytic", "empirical"):
-            raise ValueError("exactly one fitness source must be selected")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,8 +52,34 @@ def _load_graph(path: str):
     return infer_types(build_dataflow(parse_kernel(text)))
 
 
-def _parse_extents(text: str, graph) -> dict[str, int]:
-    vals = [int(v) for v in text.split(",")]
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as invalid
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
+def _extent_list(text: str) -> list[int]:
+    """An argparse type: comma-separated non-negative extents."""
+    try:
+        vals = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"extents must be comma-separated integers, got {text!r}"
+        ) from None
+    if min(vals) < 0:
+        raise argparse.ArgumentTypeError(
+            f"extents must not be negative, got {text!r}")
+    return vals
+
+
+def _bind_extents(vals: list[int], graph) -> dict[str, int]:
+    """The kernel's extent names bound in order; the last value repeats."""
     names = list(graph.extent_names)
     if len(vals) < len(names):
         vals = vals + [vals[-1]] * (len(names) - len(vals))
@@ -115,15 +117,8 @@ def _grouping_diagnostic(text: str, graph):
     return None
 
 
-def _validate_organism(graph, org, extents, toolchain) -> float:
-    ir = contract_arrays(lower(org, graph))
-    kernel = emit_c(ir, extents)
-    inputs = random_inputs(graph, extents, seed=11)
-    with tempfile.TemporaryDirectory(prefix="matfuse-") as wd:
-        lib = toolchain.compile(kernel.source, wd, shared=True)
-        got = run_kernel(lib, kernel, graph, inputs, extents)
-    want = reference_evaluate(graph.spec, inputs)
-    return max_rel_error(got, want)
+def _emit(org, graph, extents):
+    return emit_c(contract_arrays(lower(org, graph)), extents)
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +139,8 @@ def cmd_compile(args) -> int:
             return EXIT_KERNEL
     else:
         org = max_fuse(graph, args.cores)
-    extents = _parse_extents(args.extents, graph)
-    ir = contract_arrays(lower(org, graph))
-    kernel = emit_c(ir, extents)
+    extents = _bind_extents(args.extents, graph)
+    kernel = _emit(org, graph, extents)
     out = Path(args.output)
     out.write_text(kernel.source)
     print(f"organism: {format_notation(org) or '(scalar)'}")
@@ -159,7 +153,7 @@ def cmd_compile(args) -> int:
             print("error: validation needs a C compiler (or --no-validate)",
                   file=sys.stderr)
             return EXIT_TOOLCHAIN
-        err = _validate_organism(graph, org, extents, toolchain)
+        err = validation_error(kernel, graph, extents, toolchain, seed=11)
         print(f"validated against reference: max relative error {err:.3e}")
         if not err < 1e-10:
             print("error: kernel output mismatch", file=sys.stderr)
@@ -172,26 +166,19 @@ def cmd_compile(args) -> int:
 
 def cmd_search(args) -> int:
     graph = _load_graph(args.kernel)
-    extents = _parse_extents(args.extents, graph)
-    manifest = RunManifest(
-        kernel_file=Path(args.kernel),
-        strategy=args.strategy,
-        config=SearchConfig(
-            population=args.population,
-            tournament_k=args.tournament,
-            generations=args.generations,
-            budget=args.budget,
-            seed=args.seed,
-            thread_mode=args.threads_mode,
-            core_count=args.cores,
-            max_ops_exhaustive=args.max_ops,
-            require_shared_operand=not args.no_prune,
-        ),
-        fitness_kind=args.fitness,
-        extents=extents,
-        out_dir=Path(args.out_dir),
+    extents = _bind_extents(args.extents, graph)
+    cfg = SearchConfig(
+        population=args.population,
+        tournament_k=args.tournament,
+        generations=args.generations,
+        budget=args.budget,
+        seed=args.seed,
+        thread_mode=args.threads_mode,
+        core_count=args.cores,
+        max_ops_exhaustive=args.max_ops,
+        require_shared_operand=not args.no_prune,
     )
-    if manifest.fitness_kind == "analytic":
+    if args.fitness == "analytic":
         machine = MachineModel(
             core_count=args.cores,
             extents=tuple(extents.items()),
@@ -206,19 +193,17 @@ def cmd_search(args) -> int:
         fitness = cached(EmpiricalTimer(graph, toolchain, extents,
                                         reps=args.reps))
     try:
-        result = run_strategy(manifest.strategy, graph, manifest.config,
-                              fitness)
+        result = run_strategy(args.strategy, graph, cfg, fitness)
     except SpaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    outdir = manifest.out_dir
+    outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     log_path = outdir / "log.jsonl"
     with log_path.open("a") as fh:
         for entry in result.log:
             fh.write(json.dumps(entry.as_dict()) + "\n")
-    ir = contract_arrays(lower(result.best, graph))
-    kernel = emit_c(ir, extents)
+    kernel = _emit(result.best, graph, extents)
     (outdir / "best.c").write_text(kernel.source)
     summary = {
         "kernel": graph.spec.name,
@@ -228,15 +213,16 @@ def cmd_search(args) -> int:
         "evaluations": result.evaluations,
         "cache_hits": result.cache_hits,
         "sweep_candidates": result.sweeps,
-        "seed": manifest.config.seed,
-        "fitness_source": manifest.fitness_kind,
+        "seed": cfg.seed,
+        "fitness_source": args.fitness,
     }
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary, indent=2))
     if not args.no_validate:
         toolchain = Toolchain(args.cc, args.cc_template)
         if toolchain.available:
-            err = _validate_organism(graph, result.best, extents, toolchain)
+            err = validation_error(kernel, graph, extents, toolchain,
+                                   seed=11)
             print(f"validated best kernel: max relative error {err:.3e}")
             if not err < 1e-10:
                 return EXIT_KERNEL
@@ -315,8 +301,9 @@ def cmd_corpus(args) -> int:
                 max_fuse=format_notation(org),
             )
             if not args.no_validate:
-                extents = _parse_extents(args.extents, graph)
-                err = _validate_organism(graph, org, extents, toolchain)
+                extents = _bind_extents(args.extents, graph)
+                err = validation_error(_emit(org, graph, extents), graph,
+                                       extents, toolchain, seed=11)
                 entry["max_rel_error"] = err
                 entry["validated"] = bool(err < 1e-10)
                 if not entry["validated"]:
@@ -348,9 +335,9 @@ def _reads(expr) -> set[str]:
 # ---------------------------------------------------------------------------
 
 def _add_common(p):
-    p.add_argument("--cores", type=int, default=8,
+    p.add_argument("--cores", type=_at_least(1), default=8,
                    help="core count for partitioning and thread sweeps")
-    p.add_argument("--extents", default="1000,1000",
+    p.add_argument("--extents", type=_extent_list, default="1000,1000",
                    help="problem extents, comma separated (M,N)")
     p.add_argument("--cc", default=None, help="C compiler (env MATFUSE_CC)")
     p.add_argument("--cc-template", default="",
@@ -382,16 +369,16 @@ def build_parser() -> _Parser:
     p.add_argument("--fitness", choices=("analytic", "empirical"),
                    default="analytic")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_at_least(0), default=None,
                    help="max unique fitness evaluations")
-    p.add_argument("--generations", type=int, default=50)
-    p.add_argument("--population", type=int, default=20)
-    p.add_argument("--tournament", type=int, default=2)
+    p.add_argument("--generations", type=_at_least(0), default=50)
+    p.add_argument("--population", type=_at_least(2), default=20)
+    p.add_argument("--tournament", type=_at_least(1), default=2)
     p.add_argument("--threads-mode", choices=("const", "global", "exhaustive"),
                    default="global")
     p.add_argument("--max-ops", type=int, default=4,
                    help="exhaustive/orthogonal enumeration op limit")
-    p.add_argument("--reps", type=int, default=5,
+    p.add_argument("--reps", type=_at_least(1), default=5,
                    help="timing repetitions for empirical fitness")
     p.add_argument("--out-dir", default="search-out")
     _add_common(p)
@@ -400,7 +387,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("enumerate", help="list every legal organism")
     p.add_argument("kernel")
     p.add_argument("--max-ops", type=int, default=4)
-    p.add_argument("--max-threads", type=int, default=8)
+    p.add_argument("--max-threads", type=_at_least(1), default=8)
     p.add_argument("--threads-mode", choices=("const", "global", "exhaustive"),
                    default="global")
     p.add_argument("--fusion-only", action="store_true",

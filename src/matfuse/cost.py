@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import math
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .fuse import Organism, PartitionNode, canonical_key, contracted_temporaries, ops_under
 from .graph import DataflowGraph
@@ -162,13 +162,9 @@ def measure_empirical(org: Organism, graph: DataflowGraph, toolchain,
                       validate_extents: dict[str, int] | None = None,
                       source_filter=None) -> CostReport:
     """Compile, validate, and time one organism; +inf on any failure."""
+    from . import runtime
     from .cemit import emit_c
-    from .interp import reference_evaluate
     from .lower import contract_arrays, lower
-    from .runtime import (
-        ToolchainError, max_rel_error, random_inputs, run_kernel,
-        time_binary,
-    )
 
     def failure(kind: str, detail: str) -> CostReport:
         logger.warning("empirical evaluation failed (%s): %s", kind, detail)
@@ -177,34 +173,28 @@ def measure_empirical(org: Organism, graph: DataflowGraph, toolchain,
             diagnostic=f"{kind}: {detail}",
         )
 
-    ir = contract_arrays(lower(org, graph))
-    kernel = emit_c(ir, extents)
-    source = kernel.source
+    kernel = emit_c(contract_arrays(lower(org, graph)), extents)
     if source_filter is not None:
-        source = source_filter(source)
-    vext = validate_extents or extents
+        kernel = replace(kernel, source=source_filter(kernel.source))
+    try:
+        err = runtime.validation_error(kernel, graph,
+                                       validate_extents or extents,
+                                       toolchain, seed=7)
+    except runtime.ToolchainError as exc:
+        return failure("compile-failure", str(exc))
+    except Exception as exc:  # a ctypes error; a segfault ends the process
+        return failure("runtime-crash", repr(exc))
+    if not err < 1e-10:
+        return failure("numerical-mismatch", f"max relative error {err:.3e}")
     with tempfile.TemporaryDirectory(prefix="matfuse-") as wd:
         try:
-            lib = toolchain.compile(source, wd, name="kernel", shared=True)
-        except ToolchainError as exc:
-            return failure("compile-failure", str(exc))
-        inputs = random_inputs(graph, vext, seed=7)
-        try:
-            got = run_kernel(lib, kernel, graph, inputs, vext)
-        except Exception as exc:  # a ctypes error; a segfault ends the process
-            return failure("runtime-crash", repr(exc))
-        want = reference_evaluate(graph.spec, inputs)
-        err = max_rel_error(got, want)
-        if not err < 1e-10:
-            return failure("numerical-mismatch",
-                           f"max relative error {err:.3e}")
-        try:
-            binary = toolchain.compile(source, wd, name="kernel_main")
-        except ToolchainError as exc:
+            binary = toolchain.compile(kernel.source, wd, name="kernel_main")
+        except runtime.ToolchainError as exc:
             return failure("compile-failure", str(exc))
         try:
-            seconds = time_binary(binary, extents, graph.extent_names, reps)
-        except ToolchainError as exc:
+            seconds = runtime.time_binary(binary, extents, graph.extent_names,
+                                          reps)
+        except runtime.ToolchainError as exc:
             return failure("runtime-crash", str(exc))
     return CostReport(total=seconds, source="empirical")
 

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .graph import DataflowGraph, OpNode
 
@@ -110,8 +111,15 @@ class Organism:
     forest: tuple[IterNode, ...]
     threads: tuple[int, ...]  # one count per partition node, preorder
 
-    def partition_count(self) -> int:
-        return len(self.threads)
+    @cached_property
+    def key(self) -> str:
+        """Cache/duplicate-elimination key: notation plus thread assignment,
+        computed once (a cached property is not a field, so it stays out
+        of equality)."""
+        key = format_notation(self)
+        if self.threads:
+            key += ";t=" + ",".join(str(t) for t in self.threads)
+        return key
 
 
 def ops_under(node: IterNode) -> list[int]:
@@ -185,7 +193,12 @@ def _order_children(children: list[IterNode], graph: DataflowGraph) -> list[Iter
 
 
 def canonicalize(org: Organism, graph: DataflowGraph) -> Organism:
-    """Sort siblings canonically and renumber partition slots in preorder."""
+    """Sort siblings canonically and renumber partition slots in preorder.
+
+    Each partition node keeps the count of its old slot (1 if there is
+    none), so slots nothing uses vanish and nodes sharing a slot get one
+    each.
+    """
     thread_of: dict[int, int] = dict(enumerate(org.threads))
     new_threads: list[int] = []
 
@@ -227,10 +240,7 @@ def format_notation(org: Organism) -> str:
 
 def canonical_key(org: Organism) -> str:
     """Cache/duplicate-elimination key: notation plus thread assignment."""
-    key = format_notation(org)
-    if org.threads:
-        key += ";t=" + ",".join(str(t) for t in org.threads)
-    return key
+    return org.key
 
 
 class _NotationParser:
@@ -730,6 +740,25 @@ def _set_partitions(items: list[int]):
             yield sub[:i] + [[first] + sub[i]] + sub[i + 1:]
 
 
+def _sibling_tuples(ops: list[int], depth: int, graph: DataflowGraph):
+    """Every tuple of sibling subtrees holding `ops` below `depth` loops:
+    one subtree per group of a set partition of `ops`, where a group of
+    one is its op's nest from that depth and a larger group fuses the
+    loop at that depth."""
+    for parts in _set_partitions(ops):
+        options = []
+        for part in parts:
+            if len(part) == 1:
+                options.append([full_nest(graph.op(part[0]), depth)])
+            else:
+                subtrees = list(_group_trees(part, depth, graph))
+                if not subtrees:
+                    break
+                options.append(subtrees)
+        else:
+            yield from itertools.product(*options)
+
+
 def _group_trees(ops: list[int], depth: int, graph: DataflowGraph):
     """All loop trees fusing `ops` at `depth` (they share this level's loop)."""
     labels = [graph.op(i).nest.labels() for i in ops]
@@ -738,59 +767,21 @@ def _group_trees(ops: list[int], depth: int, graph: DataflowGraph):
     axis = labels[0][depth]
     if any(l[depth] != axis for l in labels):
         return
-    for parts in _set_partitions(ops):
-        ok = True
-        options = []
-        for part in parts:
-            if len(part) == 1:
-                op = graph.op(part[0])
-                if len(op.nest.labels()) == depth + 1:
-                    options.append([OpLeaf(part[0])])
-                else:
-                    options.append([full_nest(op, depth + 1)])
-            else:
-                subtrees = list(_group_trees(part, depth + 1, graph))
-                if not subtrees:
-                    ok = False
-                    break
-                options.append(subtrees)
-        if not ok:
-            continue
-        for combo in itertools.product(*options):
-            yield LoopNode(axis, tuple(combo))
+    for combo in _sibling_tuples(ops, depth + 1, graph):
+        yield LoopNode(axis, combo)
 
 
 def _root_shapes(ops: list[int], graph: DataflowGraph, limits: Limits):
     """All root subtrees over one fused group (bare and partition-wrapped)."""
     if len(ops) == 1:
-        op = graph.op(ops[0])
-        bare = full_nest(op)
-        yield bare
-        if limits.partitions:
-            for choice in enumerate_partitionings(ops[0], graph):
-                yield PartitionNode(choice.axis, -1, (bare,))
-        return
-    for tree in _group_trees(ops, 0, graph):
-        yield tree
+        yield full_nest(graph.op(ops[0]))
+    else:
+        yield from _group_trees(ops, 0, graph)
     if limits.partitions:
         for assignment in joint_partitions(ops, graph):
             axis = next(iter(assignment.values())).axis
-            for parts in _set_partitions(ops):
-                options = []
-                ok = True
-                for part in parts:
-                    if len(part) == 1:
-                        options.append([full_nest(graph.op(part[0]))])
-                    else:
-                        subtrees = list(_group_trees(part, 0, graph))
-                        if not subtrees:
-                            ok = False
-                            break
-                        options.append(subtrees)
-                if not ok:
-                    continue
-                for combo in itertools.product(*options):
-                    yield PartitionNode(axis, -1, tuple(combo))
+            for combo in _sibling_tuples(ops, 0, graph):
+                yield PartitionNode(axis, -1, combo)
 
 
 def enumerate_space(graph: DataflowGraph, limits: Limits | None = None):

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import interp
 from .cemit import GeneratedKernel
 from .graph import DataflowGraph
 
@@ -174,6 +175,23 @@ def max_rel_error(got: dict, want: dict) -> float:
         err = np.max(np.abs(g - e) / scale) if e.size else 0.0
         worst = max(worst, float(err))
     return worst
+
+
+def validation_error(kernel: GeneratedKernel, graph: DataflowGraph,
+                     extents: dict[str, int], toolchain: Toolchain,
+                     seed: int) -> float:
+    """Build the kernel as a shared object in a temporary directory, run it
+    on seeded random inputs at `extents`, and return its max relative
+    error against the reference evaluator.
+
+    A failed compile raises ToolchainError; a failed call raises what
+    ctypes or the output check raised.
+    """
+    inputs = random_inputs(graph, extents, seed)
+    with tempfile.TemporaryDirectory(prefix="matfuse-") as wd:
+        lib = toolchain.compile(kernel.source, wd, shared=True)
+        got = run_kernel(lib, kernel, graph, inputs, extents)
+    return max_rel_error(got, interp.reference_evaluate(graph.spec, inputs))
 
 
 def time_binary(binary: Path, extents: dict[str, int],

@@ -6,18 +6,27 @@ allows, the GA population starts as random mutations of that seed, and
 a final sweep picks the global thread count.  Baselines: pure random
 mutation walk, the GA without the greedy seed, the greedy seed alone,
 orthogonal search (exhaustive over fusion with threads pinned, then a
-thread sweep on the winner), and full exhaustive enumeration.
+thread sweep on the winner), and full exhaustive enumeration.  One
+driver, run_strategy, runs every strategy; mfga, ga and orthogonal end
+with the thread sweep.
+
+Every organism edit is a forest splice (zero or more nodes in place of
+the node at a path) followed by canonicalize.  A new partition node
+takes the next free slot and its thread count is appended; canonicalize
+renumbers the slots in preorder and drops the ones nothing uses.
 
 Every candidate any strategy evaluates is legality-checked by
 construction: mutation and crossover re-validate and fall back to the
 unchanged/feasible form, so no fitness evaluation is ever spent on an
 illegal organism.  Fitness values are cached on the canonical organism
-key; the evaluation budget counts cache misses (real evaluations).
+key; the evaluation budget counts cache misses (real evaluations) and,
+with the generation and step counts, is what ends a search.
 """
 
 from __future__ import annotations
 
-import logging
+import contextlib
+import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -30,9 +39,9 @@ from .fuse import (
 )
 from .graph import DataflowGraph
 
-logger = logging.getLogger(__name__)
-
 STRATEGIES = ("random", "mf", "ga", "mfga", "orthogonal", "exhaustive")
+_SWEPT = ("mfga", "ga", "orthogonal")  # strategies ending in a thread sweep
+MUTATION_PROB = 0.5  # chance a crossover child is also mutated
 
 
 @dataclass(frozen=True)
@@ -41,11 +50,9 @@ class SearchConfig:
     tournament_k: int = 2
     generations: int = 50
     budget: int | None = None  # max unique (cache-miss) evaluations
-    time_budget_s: float | None = None
     seed: int = 0
     thread_mode: str = "global"  # "const" | "global" | "exhaustive"
     core_count: int = 8
-    mutation_prob: float = 0.5  # chance a crossover child is also mutated
     max_ops_exhaustive: int = 4
     max_random_steps: int = 200_000
     require_shared_operand: bool = True  # profitability pruning of fusions
@@ -96,11 +103,7 @@ class SearchResult:
 
 
 # ---------------------------------------------------------------------------
-# Organism surgery helpers (trees are immutable; rebuild whole forests)
-
-def _with_threads(org: Organism, value: int) -> Organism:
-    return Organism(org.forest, (value,) * len(org.threads))
-
+# Organism surgery (trees are immutable): splice, then canonicalize
 
 def _with_children(node: IterNode, children: tuple[IterNode, ...]) -> IterNode:
     if isinstance(node, PartitionNode):
@@ -108,41 +111,29 @@ def _with_children(node: IterNode, children: tuple[IterNode, ...]) -> IterNode:
     return LoopNode(node.axis, children)
 
 
-def replace_at(forest: tuple[IterNode, ...], path: tuple[int, ...],
-               node: IterNode) -> tuple[IterNode, ...]:
-    """The forest with the node at `path` (a root index, then child
-    indices) replaced by `node`."""
-    def swap(cur: IterNode, rest: tuple[int, ...]) -> IterNode:
-        if not rest:
-            return node
-        kids = list(cur.children)
-        kids[rest[0]] = swap(kids[rest[0]], rest[1:])
-        return _with_children(cur, tuple(kids))
-
-    roots = list(forest)
-    roots[path[0]] = swap(roots[path[0]], path[1:])
-    return tuple(roots)
+def splice(forest: tuple[IterNode, ...], path: tuple[int, ...],
+           nodes: tuple[IterNode, ...]) -> tuple[IterNode, ...]:
+    """The forest with `nodes` (zero or more) in place of the node at
+    `path`, a root index followed by child indices."""
+    kids = list(forest)
+    if len(path) == 1:
+        kids[path[0]:path[0] + 1] = nodes
+    else:
+        node = kids[path[0]]
+        kids[path[0]] = _with_children(node,
+                                       splice(node.children, path[1:], nodes))
+    return tuple(kids)
 
 
-def _rebuild(roots: list[tuple[IterNode, int | None]],
-             graph: DataflowGraph) -> Organism:
-    """Build an organism from (root, thread-count-or-None) pairs."""
-    forest = []
-    threads = []
-    for node, t in roots:
-        if isinstance(node, PartitionNode):
-            forest.append(PartitionNode(node.axis, len(threads), node.children))
-            threads.append(t if t else 1)
-        else:
-            forest.append(node)
-    return canonicalize(Organism(tuple(forest), tuple(threads)), graph)
-
-
-def _root_pairs(org: Organism) -> list[tuple[IterNode, int | None]]:
-    return [
-        (r, org.threads[r.slot] if isinstance(r, PartitionNode) else None)
-        for r in org.forest
-    ]
+def _edit(org: Organism, graph: DataflowGraph, *splices,
+          new_threads: tuple[int, ...] = ()) -> Organism:
+    """The canonical organism after applying each (path, nodes) splice in
+    turn.  New partition nodes take slots len(org.threads) onward, with
+    counts new_threads."""
+    forest = org.forest
+    for path, nodes in splices:
+        forest = splice(forest, path, nodes)
+    return canonicalize(Organism(forest, org.threads + new_threads), graph)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +148,15 @@ def _choice_order(assignments, graph) -> list:
     return sorted(assignments, key=score)
 
 
+def _loop_pairs(kids: tuple[IterNode, ...]):
+    """Index pairs ia < ib of sibling loop nodes on the same axis."""
+    for ia, ib in itertools.combinations(range(len(kids)), 2):
+        a, b = kids[ia], kids[ib]
+        if isinstance(a, LoopNode) and isinstance(b, LoopNode) \
+                and a.axis == b.axis:
+            yield ia, ib
+
+
 def _merge_loop_siblings(org: Organism, graph: DataflowGraph) -> Organism:
     """Greedily merge sibling loop nodes of equal axis while legal, outermost
     first (breadth-first within each root): one accepted merge restarts the
@@ -168,17 +168,12 @@ def _merge_loop_siblings(org: Organism, graph: DataflowGraph) -> Organism:
                 node, path = queue.pop(0)
                 if isinstance(node, OpLeaf):
                     continue
-                kids = node.children
-                for ia in range(len(kids)):
-                    for ib in range(ia + 1, len(kids)):
-                        a, b = kids[ia], kids[ib]
-                        if isinstance(a, LoopNode) and isinstance(b, LoopNode) \
-                                and a.axis == b.axis:
-                            cand = _apply_sibling_merge(
-                                org, graph, ("siblings", path, node, ia, ib))
-                            if fusion_legal(cand, graph) is None:
-                                return cand
-                for idx, child in enumerate(kids):
+                for ia, ib in _loop_pairs(node.children):
+                    cand = _apply_sibling_merge(
+                        org, graph, ("siblings", path, node, ia, ib))
+                    if fusion_legal(cand, graph) is None:
+                        return cand
+                for idx, child in enumerate(node.children):
                     queue.append((child, path + (idx,)))
         return None
 
@@ -197,67 +192,44 @@ def max_fuse(graph: DataflowGraph, core_count: int = 8) -> Organism:
     as legality allows.  Leftover single-operation roots get their
     preferred partition axis; scalar operations stay bare.
     """
-    roots: list[tuple[IterNode, int | None]] = []
-    for op in graph.ops:
-        roots.append((full_nest(op), None))
-
-    def try_merge(ia: int, ib: int) -> list | None:
-        (ra, _), (rb, _) = roots[ia], roots[ib]
+    def merge_roots(org: Organism, ia: int, ib: int) -> Organism | None:
+        ra, rb = org.forest[ia], org.forest[ib]
         group = sorted(ops_under(ra) + ops_under(rb))
-        assignments = _choice_order(joint_partitions(group, graph), graph)
         inner_a = ra.children if isinstance(ra, PartitionNode) else (ra,)
         inner_b = rb.children if isinstance(rb, PartitionNode) else (rb,)
-        for asg in assignments:
+        for asg in _choice_order(joint_partitions(group, graph), graph):
             axis = next(iter(asg.values())).axis
-            merged = PartitionNode(axis, 0, inner_a + inner_b)
-            trial = [p for k, p in enumerate(roots) if k not in (ia, ib)]
-            trial.insert(min(ia, ib), (merged, core_count))
-            org = _rebuild(trial, graph)
-            if fusion_legal(org, graph) is None:
-                org = _merge_loop_siblings(org, graph)
-                return _root_pairs(org)
+            part = PartitionNode(axis, len(org.threads), inner_a + inner_b)
+            cand = _edit(org, graph, ((ib,), ()), ((ia,), (part,)),
+                         new_threads=(core_count,))
+            if fusion_legal(cand, graph) is None:
+                return _merge_loop_siblings(cand, graph)
         return None
 
-    progressed = True
-    while progressed:
-        progressed = False
-        n = len(roots)
-        for ia in range(n):
-            for ib in range(ia + 1, n):
-                merged = try_merge(ia, ib)
-                if merged is not None:
-                    roots = merged
-                    progressed = True
-                    break
-            if progressed:
-                break
+    org = initial_forest(graph)  # canonical: op ids follow program order
+    while True:
+        pairs = itertools.combinations(range(len(org.forest)), 2)
+        merges = (merge_roots(org, ia, ib) for ia, ib in pairs)
+        nxt = next(filter(None, merges), None)
+        if nxt is None:
+            break
+        org = nxt
 
-    # partition leftover solo roots on their preferred axis
-    final: list[tuple[IterNode, int | None]] = []
-    for node, t in roots:
-        if isinstance(node, PartitionNode):
-            final.append((node, t))
+    # partition leftover solo roots on their preferred axis; wrapping a
+    # root keeps its place in the canonical root order
+    for ridx, root in enumerate(org.forest):
+        ops = ops_under(root)
+        if isinstance(root, PartitionNode) or len(ops) != 1:
             continue
-        ops = ops_under(node)
-        if len(ops) == 1:
-            choices = enumerate_partitionings(ops[0], graph)
-            choices = sorted(choices, key=lambda c: (c.parallel_reduction,
-                                                     c.axis))
-            placed = False
-            for choice in choices:
-                cand = PartitionNode(choice.axis, 0, (node,))
-                trial = final + [(cand, core_count)] + [
-                    p for p in roots[roots.index((node, t)) + 1:]
-                ]
-                org = _rebuild(trial, graph)
-                if fusion_legal(org, graph) is None:
-                    final.append((cand, core_count))
-                    placed = True
-                    break
-            if placed:
-                continue
-        final.append((node, t))
-    org = _rebuild(final, graph)
+        choices = sorted(enumerate_partitionings(ops[0], graph),
+                         key=lambda c: (c.parallel_reduction, c.axis))
+        for choice in choices:
+            part = PartitionNode(choice.axis, len(org.threads), (root,))
+            cand = _edit(org, graph, ((ridx,), (part,)),
+                         new_threads=(core_count,))
+            if fusion_legal(cand, graph) is None:
+                org = cand
+                break
     org = _merge_loop_siblings(org, graph)
     assert fusion_legal(org, graph) is None
     return org
@@ -266,96 +238,62 @@ def max_fuse(graph: DataflowGraph, core_count: int = 8) -> Organism:
 # ---------------------------------------------------------------------------
 # Mutation
 
-def _loop_fusion_sites(org: Organism):
-    """(description, merged-forest) candidates for one add-fusion step."""
-    sites = []
-    roots = list(org.forest)
-    for ia in range(len(roots)):
-        for ib in range(ia + 1, len(roots)):
-            a, b = roots[ia], roots[ib]
-            if isinstance(a, LoopNode) and isinstance(b, LoopNode) \
-                    and a.axis == b.axis:
-                merged = LoopNode(a.axis, a.children + b.children)
-                sites.append(("roots", ia, ib, merged))
-            elif isinstance(a, PartitionNode) and isinstance(b, PartitionNode) \
-                    and a.axis == b.axis \
-                    and org.threads[a.slot] == org.threads[b.slot]:
-                merged = PartitionNode(a.axis, a.slot, a.children + b.children)
-                sites.append(("roots", ia, ib, merged))
-    # sibling loop-node pairs anywhere; a path is a root index, then
-    # child indices
-    def walk(node, path):
-        if isinstance(node, OpLeaf):
-            return
-        kids = node.children
-        for ia in range(len(kids)):
-            for ib in range(ia + 1, len(kids)):
-                a, b = kids[ia], kids[ib]
-                if isinstance(a, LoopNode) and isinstance(b, LoopNode) \
-                        and a.axis == b.axis:
-                    sites.append(("siblings", path, node, ia, ib))
-        for idx, child in enumerate(kids):
-            walk(child, path + (idx,))
+def _inner_nodes(org: Organism):
+    """(path, node) of every loop and partition node, in preorder."""
+    def walk(node: IterNode, path: tuple[int, ...]):
+        if not isinstance(node, OpLeaf):
+            yield path, node
+            for idx, child in enumerate(node.children):
+                yield from walk(child, path + (idx,))
 
     for ridx, root in enumerate(org.forest):
-        walk(root, (ridx,))
+        yield from walk(root, (ridx,))
+
+
+def _loop_fusion_sites(org: Organism):
+    """Candidates for one add-fusion step: ("roots", ia, ib, merged) for
+    two roots, ("siblings", path, node, ia, ib) for two children of the
+    node at `path` (a root index, then child indices)."""
+    sites = []
+    roots = org.forest
+    for ia, ib in itertools.combinations(range(len(roots)), 2):
+        a, b = roots[ia], roots[ib]
+        loops = isinstance(a, LoopNode) and isinstance(b, LoopNode)
+        parts = isinstance(a, PartitionNode) and isinstance(b, PartitionNode) \
+            and org.threads[a.slot] == org.threads[b.slot]
+        if (loops or parts) and a.axis == b.axis:
+            sites.append(("roots", ia, ib,
+                          _with_children(a, a.children + b.children)))
+    for path, node in _inner_nodes(org):
+        for ia, ib in _loop_pairs(node.children):
+            sites.append(("siblings", path, node, ia, ib))
     return sites
 
 
 def _apply_root_merge(org, graph, ia, ib, merged) -> Organism:
-    pairs = _root_pairs(org)
-    t = None
-    if isinstance(merged, PartitionNode):
-        t = org.threads[merged.slot]
-    keep = [p for k, p in enumerate(pairs) if k not in (ia, ib)]
-    keep.insert(ia, (merged, t))
-    return _rebuild(keep, graph)
+    return _edit(org, graph, ((ib,), ()), ((ia,), (merged,)))
 
 
 def _apply_sibling_merge(org, graph, site) -> Organism:
     _, path, node, ia, ib = site
-    kids = list(node.children)
-    merged = LoopNode(kids[ia].axis, kids[ia].children + kids[ib].children)
-    kids = [c for k, c in enumerate(kids) if k not in (ia, ib)]
-    kids.insert(ia, merged)
-    forest = replace_at(org.forest, path, _with_children(node, tuple(kids)))
-    return canonicalize(Organism(forest, org.threads), graph)
+    a, b = node.children[ia], node.children[ib]
+    merged = LoopNode(a.axis, a.children + b.children)
+    return _edit(org, graph, (path + (ib,), ()), (path + (ia,), (merged,)))
 
 
 def _split_sites(org: Organism):
-    sites = []
-
-    def walk(node, path):
-        if isinstance(node, OpLeaf):
-            return
-        if len(node.children) > 1:
-            for pos in range(1, len(node.children)):
-                sites.append((path, node, pos))
-        for idx, child in enumerate(node.children):
-            walk(child, path + (idx,))
-
-    for ridx, root in enumerate(org.forest):
-        walk(root, (ridx,))
-    return sites
+    """(path, node, pos): cut the node's children before position pos."""
+    return [(path, node, pos) for path, node in _inner_nodes(org)
+            for pos in range(1, len(node.children))]
 
 
 def _apply_split(org, graph, site) -> Organism:
+    # a split partition's halves share its slot until canonicalize gives
+    # each its own, with the same count
     path, node, pos = site
-    left = _with_children(node, node.children[:pos])
-    right = _with_children(node, node.children[pos:])
-    if len(path) == 1:  # splitting a root: two roots
-        pairs = _root_pairs(org)
-        t = org.threads[node.slot] if isinstance(node, PartitionNode) else None
-        pairs[path[0]:path[0] + 1] = [(left, t), (right, t)]
-        return _rebuild(pairs, graph)
-    parent = org.forest[path[0]]
-    for idx in path[1:-1]:
-        parent = parent.children[idx]
-    kids = list(parent.children)
-    kids[path[-1]:path[-1] + 1] = [left, right]
-    forest = replace_at(org.forest, path[:-1],
-                        _with_children(parent, tuple(kids)))
-    return canonicalize(Organism(forest, org.threads), graph)
+    halves = (_with_children(node, node.children[:pos]),
+              _with_children(node, node.children[pos:]))
+    return _edit(org, graph, (path, halves))
 
 
 def mutate(org: Organism, graph: DataflowGraph, rng: random.Random,
@@ -375,8 +313,7 @@ def mutate(org: Organism, graph: DataflowGraph, rng: random.Random,
             if sites:
                 site = sites[rng.randrange(len(sites))]
                 if site[0] == "roots":
-                    cand = _apply_root_merge(org, graph, site[1], site[2],
-                                             site[3])
+                    cand = _apply_root_merge(org, graph, *site[1:])
                 else:
                     cand = _apply_sibling_merge(org, graph, site)
         else:
@@ -386,8 +323,7 @@ def mutate(org: Organism, graph: DataflowGraph, rng: random.Random,
     elif kind == 1:  # partition level
         if rng.random() < 0.5:
             bare = [i for i, r in enumerate(org.forest)
-                    if not isinstance(r, PartitionNode)
-                    and not isinstance(r, OpLeaf)]
+                    if isinstance(r, LoopNode)]
             if bare:
                 ridx = bare[rng.randrange(len(bare))]
                 root = org.forest[ridx]
@@ -396,18 +332,15 @@ def mutate(org: Organism, graph: DataflowGraph, rng: random.Random,
                     asg = assignments[rng.randrange(len(assignments))]
                     axis = next(iter(asg.values())).axis
                     t = org.threads[0] if org.threads else cfg.core_count
-                    pairs = _root_pairs(org)
-                    pairs[ridx] = (PartitionNode(axis, 0, (root,)), t)
-                    cand = _rebuild(pairs, graph)
+                    part = PartitionNode(axis, len(org.threads), (root,))
+                    cand = _edit(org, graph, ((ridx,), (part,)),
+                                 new_threads=(t,))
         else:
             parts = [i for i, r in enumerate(org.forest)
                      if isinstance(r, PartitionNode)]
             if parts:
                 ridx = parts[rng.randrange(len(parts))]
-                root = org.forest[ridx]
-                pairs = _root_pairs(org)
-                pairs[ridx:ridx + 1] = [(c, None) for c in root.children]
-                cand = _rebuild(pairs, graph)
+                cand = _edit(org, graph, ((ridx,), org.forest[ridx].children))
     elif kind == 2:  # partition axis
         parts = [i for i, r in enumerate(org.forest)
                  if isinstance(r, PartitionNode)]
@@ -419,10 +352,8 @@ def mutate(org: Organism, graph: DataflowGraph, rng: random.Random,
             axes = [a for a in axes if a != root.axis]
             if axes:
                 axis = axes[rng.randrange(len(axes))]
-                pairs = _root_pairs(org)
-                pairs[ridx] = (PartitionNode(axis, root.slot, root.children),
-                               org.threads[root.slot])
-                cand = _rebuild(pairs, graph)
+                part = PartitionNode(axis, root.slot, root.children)
+                cand = _edit(org, graph, ((ridx,), (part,)))
     else:  # thread count
         if org.threads and cfg.thread_mode != "const":
             delta = 2 if rng.random() < 0.5 else -2
@@ -495,7 +426,16 @@ class _MRoot:
 
 
 def _materialize(roots: list[_MRoot], graph: DataflowGraph) -> Organism:
-    return _rebuild([p for r in roots for p in r.pairs()], graph)
+    """The canonical organism of the growing roots; each partition node
+    takes the next slot and its count is appended."""
+    forest: list[IterNode] = []
+    threads: list[int] = []
+    for node, t in (p for r in roots for p in r.pairs()):
+        if t is not None:
+            node = PartitionNode(node.axis, len(threads), node.children)
+            threads.append(t)
+        forest.append(node)
+    return canonicalize(Organism(tuple(forest), tuple(threads)), graph)
 
 
 def _roots_ordered(masks: list[int], graph: DataflowGraph) -> bool:
@@ -669,14 +609,14 @@ def thread_sweep(org: Organism, evaluate, core_count: int,
         return org, 0
     candidates: list[Organism]
     if per_partition:
-        import itertools as _it
         candidates = []
-        for combo in _it.product(counts, repeat=len(org.threads)):
+        for combo in itertools.product(counts, repeat=len(org.threads)):
             candidates.append(Organism(org.forest, combo))
             if budget is not None and len(candidates) >= budget:
                 break
     else:
-        candidates = [_with_threads(org, t) for t in counts]
+        candidates = [Organism(org.forest, (t,) * len(org.threads))
+                      for t in counts]
     best = org
     best_score = evaluate(org).total, canonical_key(org)
     tried = 0
@@ -711,29 +651,24 @@ class _Evaluator:
         self.t0 = time.perf_counter()
 
     def __call__(self, org: Organism) -> CostReport:
-        key = self.fitness.key(org)
-        fresh = key not in self.fitness._table
-        if fresh:
-            # the seed evaluation is always allowed, even at budget 0
-            if self.cfg.budget is not None and self.fitness.misses > 0 \
-                    and self.fitness.misses >= self.cfg.budget:
-                raise _BudgetDone()
-            if self.cfg.time_budget_s is not None \
-                    and time.perf_counter() - self.t0 > self.cfg.time_budget_s:
-                raise _BudgetDone()
+        key = canonical_key(org)
+        fresh = self.fitness.key(org) not in self.fitness._table
+        # the seed evaluation is always allowed, even at budget 0
+        if fresh and self.cfg.budget is not None \
+                and self.fitness.misses >= max(self.cfg.budget, 1):
+            raise _BudgetDone()
         report = self.fitness(org)
         if fresh:
             elapsed = 0.0 if report.source == "analytic" \
                 else time.perf_counter() - self.t0
-            self.log.append(LogEntry(canonical_key(org), report.total,
-                                     self.generation, elapsed, self.strategy))
-            ranked = (report.total, canonical_key(org))
-            if self.best is None or ranked < self.best[:2]:
-                self.best = (report.total, canonical_key(org), org)
+            self.log.append(LogEntry(key, report.total, self.generation,
+                                     elapsed, self.strategy))
+            if self.best is None or (report.total, key) < self.best[:2]:
+                self.best = (report.total, key, org)
                 self.best_report = report
         return report
 
-    def result(self) -> SearchResult:
+    def result(self, sweeps: int) -> SearchResult:
         assert self.best is not None, "no evaluations happened"
         return SearchResult(
             strategy=self.strategy,
@@ -743,131 +678,86 @@ class _Evaluator:
             log=self.log,
             evaluations=self.fitness.misses,
             cache_hits=self.fitness.hits,
+            sweeps=sweeps,
         )
 
 
 def _ga_loop(graph: DataflowGraph, cfg: SearchConfig, ev: _Evaluator,
              seed_org: Organism, rng: random.Random):
+    """Evolve a population of mutants of the seed with tournament
+    selection, crossover, mutation and elitism; the evaluator raises
+    _BudgetDone when the budget is spent."""
     n = cfg.population
-    try:
-        ev(seed_org)
-        population: list[tuple[Organism, float]] = []
-        for _ in range(n):
-            org = mutate(seed_org, graph, rng, cfg)
-            population.append((org, ev(org).total))
-        for gen in range(1, cfg.generations + 1):
-            ev.generation = gen
-            parents = [tournament_select(population, cfg.tournament_k, rng)
-                       for _ in range(2 * n)]
-            children = []
-            for i in range(n):
-                child = crossover(parents[2 * i], parents[2 * i + 1],
-                                  graph, rng)
-                if rng.random() < cfg.mutation_prob:
-                    child = mutate(child, graph, rng, cfg)
-                children.append(child)
-            scored = [(c, ev(c).total) for c in children]
-            # elitism: the incumbent best survives every generation
-            best_fit, _, best_org = ev.best
-            if min(s for _, s in scored) > best_fit:
-                worst = max(range(n), key=lambda i: (scored[i][1],
-                            canonical_key(scored[i][0])))
-                scored[worst] = (best_org, best_fit)
-            population = scored
-    except _BudgetDone:
-        pass
-
-
-def _final_sweep(graph, cfg, ev):
-    if cfg.thread_mode == "const" or ev.best is None:
-        return 0
-    try:
-        best_org = ev.best[2]
-        _, tried = thread_sweep(
-            best_org, ev, cfg.core_count,
-            per_partition=(cfg.thread_mode == "exhaustive"),
-            budget=cfg.budget,
-        )
-        return tried
-    except _BudgetDone:
-        return 0
-
-
-def run_mfga(graph: DataflowGraph, cfg: SearchConfig, fitness) -> SearchResult:
-    """Max-fuse seed, genetic algorithm, then a global thread sweep."""
-    rng = random.Random(cfg.seed)
-    ev = _Evaluator(fitness, "mfga", cfg)
-    seed_org = max_fuse(graph, cfg.core_count)
-    if cfg.thread_mode == "const":
-        seed_org = _with_threads(seed_org, cfg.core_count)
-    _ga_loop(graph, cfg, ev, seed_org, rng)
-    ev.generation += 1
-    sweeps = _final_sweep(graph, cfg, ev)
-    result = ev.result()
-    result.sweeps = sweeps
-    return result
+    ev(seed_org)
+    population: list[tuple[Organism, float]] = []
+    for _ in range(n):
+        org = mutate(seed_org, graph, rng, cfg)
+        population.append((org, ev(org).total))
+    for gen in range(1, cfg.generations + 1):
+        ev.generation = gen
+        parents = [tournament_select(population, cfg.tournament_k, rng)
+                   for _ in range(2 * n)]
+        children = []
+        for i in range(n):
+            child = crossover(parents[2 * i], parents[2 * i + 1], graph, rng)
+            if rng.random() < MUTATION_PROB:
+                child = mutate(child, graph, rng, cfg)
+            children.append(child)
+        scored = [(c, ev(c).total) for c in children]
+        # elitism: the incumbent best survives every generation
+        best_fit, _, best_org = ev.best
+        if min(s for _, s in scored) > best_fit:
+            worst = max(range(n), key=lambda i: (scored[i][1],
+                        canonical_key(scored[i][0])))
+            scored[worst] = (best_org, best_fit)
+        population = scored
 
 
 def run_strategy(strategy: str, graph: DataflowGraph, cfg: SearchConfig,
                  fitness) -> SearchResult:
-    """Run one search strategy; see STRATEGIES for the choices."""
+    """Run one search strategy (see STRATEGIES) until it ends or the
+    budget is spent; mfga, ga and orthogonal then sweep the winner's
+    thread count, logged one generation after the search."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "mfga":
-        return run_mfga(graph, cfg, fitness)
     rng = random.Random(cfg.seed)
     ev = _Evaluator(fitness, strategy, cfg)
-    if strategy == "mf":
-        ev(max_fuse(graph, cfg.core_count))
-        return ev.result()
-    if strategy == "ga":
-        try:
-            seed_org = initial_forest(graph)
+    with contextlib.suppress(_BudgetDone):
+        if strategy == "mf":
+            ev(max_fuse(graph, cfg.core_count))
+        elif strategy in ("mfga", "ga"):
+            seed_org = max_fuse(graph, cfg.core_count) if strategy == "mfga" \
+                else initial_forest(graph)
             _ga_loop(graph, cfg, ev, seed_org, rng)
-        except _BudgetDone:
-            pass
-        ev.generation += 1
-        sweeps = _final_sweep(graph, cfg, ev)
-        result = ev.result()
-        result.sweeps = sweeps
-        return result
-    if strategy == "random":
-        org = initial_forest(graph)
-        try:
+        elif strategy == "random":
+            org = initial_forest(graph)
             ev(org)
             budget = cfg.budget if cfg.budget is not None else \
                 cfg.generations * cfg.population
-            steps = 0
-            while ev.fitness.misses < budget + 1 \
-                    and steps < cfg.max_random_steps:
+            for _ in range(cfg.max_random_steps):
+                if ev.fitness.misses >= budget + 1:
+                    break
                 org = mutate(org, graph, rng, cfg)
                 ev(org)
-                steps += 1
-        except _BudgetDone:
-            pass
-        return ev.result()
-    limits = Limits(
-        max_ops=cfg.max_ops_exhaustive,
-        max_threads=cfg.core_count,
-        thread_mode=cfg.thread_mode if strategy == "exhaustive" else "const",
-        core_count=cfg.core_count,
-        require_shared_operand=cfg.require_shared_operand,
-    )
-    if strategy == "orthogonal":
-        try:
+        else:  # orthogonal pins the thread count, exhaustive enumerates it
+            limits = Limits(
+                max_ops=cfg.max_ops_exhaustive,
+                max_threads=cfg.core_count,
+                thread_mode=cfg.thread_mode if strategy == "exhaustive"
+                else "const",
+                core_count=cfg.core_count,
+                require_shared_operand=cfg.require_shared_operand,
+            )
             for org in enumerate_space(graph, limits):
                 ev(org)
-        except _BudgetDone:
-            pass
-        ev.generation = 1
-        sweeps = _final_sweep(graph, cfg, ev)
-        result = ev.result()
-        result.sweeps = sweeps
-        return result
-    # exhaustive
-    try:
-        for org in enumerate_space(graph, limits):
-            ev(org)
-    except _BudgetDone:
-        pass
-    return ev.result()
+    sweeps = 0
+    if strategy in _SWEPT:
+        ev.generation += 1
+        if cfg.thread_mode != "const":
+            with contextlib.suppress(_BudgetDone):
+                _, sweeps = thread_sweep(
+                    ev.best[2], ev, cfg.core_count,
+                    per_partition=(cfg.thread_mode == "exhaustive"),
+                    budget=cfg.budget,
+                )
+    return ev.result(sweeps)

@@ -1,6 +1,8 @@
 import json
 import tempfile
 
+import pytest
+
 from matfuse.cli import main
 from matfuse.corpus import kernel_path
 
@@ -188,3 +190,20 @@ def test_empty_loop_is_a_structure_error(tmp_path, capsys):
     )
     assert code == 2
     assert "structure" in stderr
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("search", "--population", "1"),
+    ("search", "--cores", "0"),
+    ("compile", "--extents", "abc"),
+    ("compile", "--extents", "-5"),
+    ("compile", "--cores", "0"),
+])
+def test_bad_numeric_flag_exits_1(command, flag, value, tmp_path, capsys):
+    out = ["--out-dir", str(tmp_path / "run")] if command == "search" \
+        else ["-o", str(tmp_path / "k.c")]
+    code, _, stderr = run(capsys, command, BATAX, flag, value,
+                          "--no-validate", *out)
+    assert code == 1
+    assert f"error: argument {flag}:" in stderr
+    assert not list(tmp_path.iterdir())

@@ -302,3 +302,27 @@ class TestTimingMain:
         best, q, r = draws(M * N).reshape(M, N), draws(N), draws(M)
         assert float(printed["checksum"]) == pytest.approx(
             float(np.sum(best @ q + r)), rel=1e-12)
+
+
+class TestBodyNames:
+    """The kernel body's own locals never shadow a kernel's names."""
+
+    @pytest.mark.parametrize("text, organism", [
+        ("BLOCK in: A : matrix(row), p0 : vector(column) "
+         "out: y : vector(column) { y = A * p0 }", None),
+        ("JOIN in: A : matrix(row), x : vector(column) "
+         "out: acc : vector(column) { acc = A' * x }",
+         "{_{p(i)}{_i{_j 1}}}"),
+        ("BOUNDS in: A : matrix(row), i_lo : vector(column) "
+         "out: i_hi : vector(column) { i_hi = A * i_lo }", None),
+        ("SCALAR in: s_acc : vector(column), x : vector(column) "
+         "out: s : scalar { s = s_acc' * x }", "{_{p(k)}{_k 1}}"),
+    ])
+    def test_clashing_names_compile_and_validate(self, text, organism,
+                                                 toolchain):
+        g = infer_types(build_dataflow(parse_kernel(text)))
+        org = max_fuse(g, 3) if organism is None \
+            else parse_notation(organism, g, threads=3)
+        assert org.threads, "the organism must have a parallel region"
+        check_against_reference(g, org, {n: 10 for n in g.extent_names},
+                                toolchain)
