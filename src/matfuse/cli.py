@@ -27,8 +27,8 @@ from .fuse import (
     digit_space_size, enumerate_space, format_notation, fusion_legal,
     parse_notation,
 )
-from .graph import TypeCheckError, build_dataflow, infer_types
-from .lang import KernelSpecError, KernelSyntaxError, parse_kernel
+from .graph import TypeCheckError, bits, build_dataflow, infer_types
+from .lang import KernelSpecError, KernelSyntaxError, free_vars, parse_kernel
 from .lower import contract_arrays, lower
 from .runtime import Toolchain, ToolchainError, validation_error
 from .search import STRATEGIES, SearchConfig, max_fuse, run_strategy
@@ -86,34 +86,15 @@ def _bind_extents(vals: list[int], graph) -> dict[str, int]:
     return dict(zip(names, vals))
 
 
-def _grouping_diagnostic(text: str, graph):
-    """When a notation fails structurally, check whether its top-level
-    grouping already violates fusion rules, to report the real problem."""
-    import re
-
-    depth = 0
-    groups: list[list[int]] = []
-    cur: list[int] | None = None
-    for tok in re.finditer(r"[{}]|\d+", text):
-        t = tok.group()
-        if t == "{":
-            if depth == 0:
-                cur = []
-            depth += 1
-        elif t == "}":
-            depth -= 1
-            if depth == 0 and cur is not None:
-                groups.append(cur)
-                cur = None
-        elif cur is not None:
-            cur.append(int(t))
-    known = set(graph.op_ids())
-    for group in groups:
-        if len(group) < 2 or not set(group) <= known:
-            continue
-        diag = dependence_diagnostic(group, graph)
-        if diag is not None:
-            return diag
+def _grouping_diagnostic(exc: NotationError, graph):
+    """When a notation fails, check whether the top-level groups the
+    parser read already break dependence convexity, to report the real
+    problem."""
+    for group in exc.groups:
+        if group.bit_count() > 1:
+            diag = dependence_diagnostic(list(bits(group)), graph)
+            if diag is not None:
+                return diag
     return None
 
 
@@ -130,7 +111,7 @@ def cmd_compile(args) -> int:
         try:
             org = parse_notation(args.organism, graph, threads=args.cores)
         except NotationError as exc:
-            diag = _grouping_diagnostic(args.organism, graph)
+            diag = _grouping_diagnostic(exc, graph)
             print(f"error: {diag or exc}", file=sys.stderr)
             return EXIT_KERNEL
         diag = fusion_legal(org, graph)
@@ -290,7 +271,7 @@ def cmd_corpus(args) -> int:
             for out, _ in spec.outputs:
                 uses = sum(
                     1 for stmt in spec.statements
-                    if out in _reads(stmt.value)
+                    if out in free_vars(stmt.value)
                 )
                 if uses:
                     reuse[out] = uses
@@ -320,16 +301,6 @@ def cmd_corpus(args) -> int:
     if failed:
         return EXIT_KERNEL
     return 0
-
-
-def _reads(expr) -> set[str]:
-    from .lang import Transpose, Var
-
-    if isinstance(expr, Var):
-        return {expr.name}
-    if isinstance(expr, Transpose):
-        return _reads(expr.operand)
-    return _reads(expr.left) | _reads(expr.right)
 
 
 # ---------------------------------------------------------------------------

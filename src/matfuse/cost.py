@@ -11,8 +11,9 @@ vectorization; it exists to rank fusion/contraction/threading choices
 deterministically and cheaply.
 
 The empirical timer compiles the generated C and runs it, but only after
-validating the kernel against the reference evaluator: a wrong-answer
-candidate never receives a finite fitness.
+validating the kernel against the reference evaluator at extents
+min(64, extent): a wrong-answer candidate never receives a finite
+fitness.
 """
 
 from __future__ import annotations
@@ -22,24 +23,24 @@ import math
 import tempfile
 from dataclasses import dataclass, replace
 
-from .fuse import Organism, PartitionNode, canonical_key, contracted_temporaries, ops_under
-from .graph import DataflowGraph
+from .fuse import Organism, PartitionNode, canonical_key, contracted_temporaries
+from .graph import DataflowGraph, bits
 
 logger = logging.getLogger(__name__)
+
+BYTES_PER_SCALAR = 8.0
+BANDWIDTH = 1.0  # per-core streaming rate, relative units
+PARTITION_OVERHEAD = 5000.0  # element-units per partition node
 
 
 @dataclass(frozen=True)
 class MachineModel:
     core_count: int = 8
-    bytes_per_scalar: float = 8.0
-    bandwidth: float = 1.0  # per-core streaming rate, relative units
-    partition_overhead: float = 5000.0  # element-units per partition node
     extents: tuple[tuple[str, int], ...] = (("M", 1000), ("N", 1000))
 
     def __post_init__(self):
-        if self.core_count < 1 or self.bytes_per_scalar <= 0 \
-                or self.bandwidth <= 0 or self.partition_overhead < 0:
-            raise ValueError("machine parameters must be positive")
+        if self.core_count < 1:
+            raise ValueError("core count must be at least 1")
 
     def extent(self, name: str) -> int:
         for key, val in self.extents:
@@ -77,9 +78,8 @@ def estimate_cost(org: Organism, graph: DataflowGraph,
     per_root = []
     n_partitions = 0
     for root in org.forest:
-        ops = ops_under(root)
         touched: list[str] = []
-        for op_id in ops:
+        for op_id in bits(root.mask):
             op = graph.op(op_id)
             for name in [r.name for r in op.operands] + [op.result]:
                 if name not in touched and name not in contracted:
@@ -90,10 +90,8 @@ def estimate_cost(org: Organism, graph: DataflowGraph,
         if isinstance(root, PartitionNode):
             n_partitions += 1
             eff = float(min(org.threads[root.slot], machine.core_count))
-            overhead = machine.partition_overhead
-        cost = machine.bytes_per_scalar * (
-            streamed / (eff * machine.bandwidth) + overhead
-        )
+            overhead = PARTITION_OVERHEAD
+        cost = BYTES_PER_SCALAR * (streamed / (eff * BANDWIDTH) + overhead)
         per_root.append(cost)
     return CostReport(
         total=float(sum(per_root)),
@@ -111,11 +109,6 @@ class AnalyticCost:
         self.graph = graph
         self.machine = machine
 
-    def key_salt(self) -> str:
-        return "analytic:" + ",".join(
-            f"{k}={v}" for k, v in self.machine.extents
-        )
-
     def __call__(self, org: Organism) -> CostReport:
         return estimate_cost(org, self.graph, self.machine)
 
@@ -131,7 +124,6 @@ class EmpiricalTimer:
 
     def __init__(self, graph: DataflowGraph, toolchain=None,
                  extents: dict[str, int] | None = None, reps: int = 5,
-                 validate_extents: dict[str, int] | None = None,
                  source_filter=None):
         from .runtime import Toolchain
 
@@ -139,29 +131,20 @@ class EmpiricalTimer:
         self.toolchain = toolchain or Toolchain()
         self.extents = extents or {n: 1000 for n in graph.extent_names}
         self.reps = reps
-        self.validate_extents = validate_extents or {
-            n: min(64, self.extents[n]) for n in graph.extent_names
-        }
         self.source_filter = source_filter  # test hook: corrupts the source
-
-    def key_salt(self) -> str:
-        return "empirical:" + ",".join(
-            f"{k}={v}" for k, v in sorted(self.extents.items())
-        )
 
     def __call__(self, org: Organism) -> CostReport:
         return measure_empirical(
             org, self.graph, self.toolchain, self.extents, self.reps,
-            validate_extents=self.validate_extents,
             source_filter=self.source_filter,
         )
 
 
 def measure_empirical(org: Organism, graph: DataflowGraph, toolchain,
                       extents: dict[str, int], reps: int = 5,
-                      validate_extents: dict[str, int] | None = None,
                       source_filter=None) -> CostReport:
-    """Compile, validate, and time one organism; +inf on any failure."""
+    """Validate at extents min(64, extent), then compile and time at
+    `extents`; +inf on any failure."""
     from . import runtime
     from .cemit import emit_c
     from .lower import contract_arrays, lower
@@ -176,10 +159,9 @@ def measure_empirical(org: Organism, graph: DataflowGraph, toolchain,
     kernel = emit_c(contract_arrays(lower(org, graph)), extents)
     if source_filter is not None:
         kernel = replace(kernel, source=source_filter(kernel.source))
+    small = {n: min(64, extents[n]) for n in graph.extent_names}
     try:
-        err = runtime.validation_error(kernel, graph,
-                                       validate_extents or extents,
-                                       toolchain, seed=7)
+        err = runtime.validation_error(kernel, graph, small, toolchain, seed=7)
     except runtime.ToolchainError as exc:
         return failure("compile-failure", str(exc))
     except Exception as exc:  # a ctypes error; a segfault ends the process
@@ -200,7 +182,8 @@ def measure_empirical(org: Organism, graph: DataflowGraph, toolchain,
 
 
 class CachedFitness:
-    """Memoizes fitness on the canonical organism key (plus extents salt)."""
+    """Memoizes fitness on the canonical organism key.  A table belongs to
+    one fitness function, whose extents are fixed."""
 
     def __init__(self, fn, enabled: bool = True):
         self.fn = fn
@@ -209,15 +192,14 @@ class CachedFitness:
         self.misses = 0
         self._table: dict[str, CostReport] = {}
 
-    def key(self, org: Organism) -> str:
-        salt = self.fn.key_salt() if hasattr(self.fn, "key_salt") else ""
-        return salt + "|" + canonical_key(org)
+    def __contains__(self, org: Organism) -> bool:
+        return canonical_key(org) in self._table
 
     def __call__(self, org: Organism) -> CostReport:
         if not self.enabled:
             self.misses += 1
             return self.fn(org)
-        key = self.key(org)
+        key = canonical_key(org)
         if key in self._table:
             self.hits += 1
             return self._table[key]

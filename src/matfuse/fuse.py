@@ -16,12 +16,20 @@ Those two properties remove the bulk of the illegal points a flat digit
 encoding would generate (digit_space_size computes the size of that
 legacy encoding for comparison).
 
-Structural invariants (enforced by fusion_legal):
+fusion_legal is the only statement of the rules below.  Its first
+phase, shape_diagnostic, is also what parse_notation reports when text
+names a badly shaped forest (the parser itself judges only the text),
+and joint_partitions offers exactly the partition axes fusion_legal
+accepts, reading the same per-axis tables of the graph (the ops
+iterating each axis and its reduction pairs).
+
+Structural invariants:
 
 - every operation appears exactly once, at a leaf below exactly the
-  loops of its canonical nest, in nest order;
-- partition nodes appear only at root position, outside every loop, and
-  their axis is an iteration axis of every operation beneath them;
+  loops of its canonical nest, in nest order (shape);
+- partition nodes appear only at root position, outside every loop
+  (shape), and their axis is an iteration axis of every operation
+  beneath them;
 - roots and siblings are ordered topologically.
 
 Semantic legality on top of that:
@@ -36,8 +44,9 @@ Semantic legality on top of that:
 
 Every tree node carries ``mask``, the set of operations beneath it as a
 bitmask (bit i is op i), computed once when the node is built and left
-out of equality.  With the graph's per-op reachability and
-operand-sharing bitmasks, convexity of a set S is
+out of equality; it is the only form of a node's op set, and
+graph.bits lists its op ids where ids are needed.  With the graph's
+per-op reachability and operand-sharing bitmasks, convexity of a set S is
 ``down(S) & up(S) & ~S == 0``, sibling order is one AND per pair, and
 the shared-operand rule is a flood fill over bits; the op-by-op walk
 runs only to word the diagnostic of a set that fails.  Apart from
@@ -51,14 +60,21 @@ is what lets crossover check only the root it changed.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .graph import DataflowGraph, OpNode
+from .graph import DataflowGraph, OpNode, bits
 
 
 class NotationError(ValueError):
-    pass
+    """Brace notation that names no well-shaped forest.  `diagnostic` is
+    the shape rule it breaks (None when the text itself is at fault) and
+    `groups` holds the op bitmask of each top-level group read, so a
+    caller can name a fusion rule the grouping already breaks."""
+
+    diagnostic: "Diagnostic | None" = None
+    groups: tuple[int, ...] = ()
 
 
 class SpaceError(ValueError):
@@ -120,15 +136,6 @@ class Organism:
         if self.threads:
             key += ";t=" + ",".join(str(t) for t in self.threads)
         return key
-
-
-def ops_under(node: IterNode) -> list[int]:
-    if isinstance(node, OpLeaf):
-        return [node.op_id]
-    out: list[int] = []
-    for child in node.children:
-        out.extend(ops_under(child))
-    return out
 
 
 @dataclass(frozen=True)
@@ -243,76 +250,111 @@ def canonical_key(org: Organism) -> str:
     return org.key
 
 
+# a root written schematically: unsubscripted braces around one op id
+_SCHEMATIC = re.compile(r"(?:\{\s*)+(\d+)(?:\s*\})+")
+
+
 class _NotationParser:
-    def __init__(self, text: str):
+    """Recursive descent over brace notation, building tree nodes as it
+    reads them.  It decides only what the text says (syntax, op ids, the
+    axes of unsubscripted braces, the schematic {{3}} form); whether the
+    forest has a legal shape is shape_diagnostic's to say."""
+
+    def __init__(self, text: str, graph: DataflowGraph):
         self.text = text
+        self.graph = graph
         self.pos = 0
+        self.partitions = 0
+        self.groups: list[int] = []  # op bitmask of each top-level group
+
+    def fail(self, msg: str, diagnostic: Diagnostic | None = None):
+        exc = NotationError(msg)
+        exc.diagnostic = diagnostic
+        exc.groups = tuple(self.groups)
+        raise exc
 
     def error(self, msg: str):
-        raise NotationError(f"at {self.pos}: {msg}")
+        self.fail(f"at {self.pos}: {msg}")
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def parse_forest(self) -> list:
+    def forest(self) -> tuple[IterNode, ...]:
         roots = []
         self.skip_ws()
         while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c == "{":
-                roots.append(self.parse_node())
-            elif c.isdigit():
-                roots.append(self.parse_int())
+            self.groups.append(0)
+            m = _SCHEMATIC.match(self.text, self.pos)
+            if m and m[0].count("{") == m[0].count("}"):
+                self.pos = m.start(1)
+                roots.append(full_nest(self.graph.op(self.op_id())))
+                self.pos = m.end()
             else:
-                self.error(f"unexpected {c!r}")
+                roots.append(self.item(0))
             self.skip_ws()
-        return roots
+        return tuple(roots)
 
-    def parse_int(self) -> int:
+    def item(self, depth: int) -> IterNode:
+        """A brace or an op id, `depth` loops deep."""
+        c = self.text[self.pos]
+        if c == "{":
+            return self.brace(depth)
+        if c.isdigit():
+            return OpLeaf(self.op_id())
+        self.error(f"unexpected {c!r}")
+
+    def op_id(self) -> int:
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        return int(self.text[start:self.pos])
+        op_id = int(self.text[start:self.pos])
+        if not 1 <= op_id <= len(self.graph.ops):
+            self.fail(f"unknown op id {op_id}")
+        self.groups[-1] |= 1 << op_id
+        return op_id
 
-    def parse_node(self):
-        assert self.text[self.pos] == "{"
+    def brace(self, depth: int) -> IterNode:
         self.pos += 1
         axis = None
-        partition = False
-        if self.pos < len(self.text) and self.text[self.pos] == "_":
+        slot = None
+        if self.text.startswith("_{", self.pos):
+            self.pos += 2
+            if not self.text.startswith("p(", self.pos):
+                self.error("expected p(axis)")
+            self.pos += 2
+            axis = self.name()
+            if not self.text.startswith(")}", self.pos):
+                self.error("expected ')}' after partition axis")
+            self.pos += 2
+            slot = self.partitions
+            self.partitions += 1
+        elif self.text.startswith("_", self.pos):
             self.pos += 1
-            if self.text[self.pos] == "{":  # _{p(i)}
-                self.pos += 1
-                if not self.text.startswith("p(", self.pos):
-                    self.error("expected p(axis)")
-                self.pos += 2
-                axis = self.parse_name()
-                if not self.text.startswith(")}", self.pos):
-                    self.error("expected ')}' after partition axis")
-                self.pos += 2
-                partition = True
-            else:
-                axis = self.parse_name()
+            axis = self.name()
+        inner = depth if slot is not None else depth + 1
         children = []
         self.skip_ws()
-        while True:
+        while not self.text.startswith("}", self.pos):
             if self.pos >= len(self.text):
                 self.error("unbalanced braces")
-            c = self.text[self.pos]
-            if c == "}":
-                self.pos += 1
-                break
-            if c == "{":
-                children.append(self.parse_node())
-            elif c.isdigit():
-                children.append(self.parse_int())
-            else:
-                self.error(f"unexpected {c!r}")
+            children.append(self.item(inner))
             self.skip_ws()
-        return {"axis": axis, "partition": partition, "children": children}
+        self.pos += 1
+        if slot is not None:
+            return PartitionNode(axis, slot, tuple(children))
+        if axis is None:  # the one axis the ops beneath have at this depth
+            ops = LoopNode("", tuple(children)).mask
+            found = {labels[depth] for labels in (
+                self.graph.op(i).nest.labels() for i in bits(ops))
+                if depth < len(labels)}
+            if len(found) != 1:
+                self.error(f"cannot infer the axis of a brace {depth} loops "
+                           f"deep: its ops have {sorted(found)} there")
+            axis = found.pop()
+        return LoopNode(axis, tuple(children))
 
-    def parse_name(self) -> str:
+    def name(self) -> str:
         # axis labels are single lowercase letters; op ids may follow with
         # no separating space ({_j1}), so stop at the first non-letter
         start = self.pos
@@ -330,98 +372,27 @@ def parse_notation(
 ) -> Organism:
     """Parse brace notation into a canonical Organism.
 
-    Unsubscripted braces (``{{1}} {{2}}``) get their axes from each
-    operation's canonical nest.  ``threads`` supplies per-partition counts
-    (a single int applies globally; default 1).
+    Unsubscripted braces (``{{1} {2}} {{3}}``) get their axes from the
+    operations beneath them; a root of unsubscripted braces around one
+    operation is that operation's whole nest.  ``threads`` supplies
+    per-partition counts in text order (a single int applies globally;
+    default 1).  A forest of the wrong shape raises NotationError
+    carrying shape_diagnostic's verdict.
     """
-    raw_roots = _NotationParser(text).parse_forest()
-    known = set(graph.op_ids())
-    n_partitions = 0
-
-    def singleton_chain(item) -> int | None:
-        # {{3}} written schematically: unsubscripted braces around one op id
-        while (isinstance(item, dict) and item["axis"] is None
-               and not item["partition"] and len(item["children"]) == 1):
-            item = item["children"][0]
-        return item if isinstance(item, int) else None
-
-    normalized = []
-    for item in raw_roots:
-        op_id = singleton_chain(item)
-        if op_id is not None and isinstance(item, dict):
-            if op_id not in known:
-                raise NotationError(f"unknown op id {op_id}")
-            normalized.append(full_nest(graph.op(op_id)))
-        else:
-            normalized.append(item)
-    raw_roots = normalized
-
-    def build(item, loop_depth: int, at_root: bool = False) -> IterNode:
-        nonlocal n_partitions
-        if isinstance(item, (OpLeaf, LoopNode)):
-            return item  # pre-normalized full nest
-        if isinstance(item, int):
-            if item not in known:
-                raise NotationError(f"unknown op id {item}")
-            op = graph.op(item)
-            if len(op.nest.labels()) != loop_depth:
-                raise NotationError(
-                    f"op {item} sits under {loop_depth} loops, its nest has "
-                    f"{len(op.nest.labels())}"
-                )
-            return OpLeaf(item)
-        if item["partition"]:
-            if loop_depth != 0 or not at_root:
-                raise NotationError("partition must be outermost")
-            slot = n_partitions
-            n_partitions += 1
-            children = tuple(build(c, loop_depth) for c in item["children"])
-            return PartitionNode(item["axis"], slot, children)
-        # loop node: infer axis from any descendant op when unsubscripted
-        axis = item["axis"]
-        children = tuple(build(c, loop_depth + 1) for c in item["children"])
-        node = LoopNode(axis or "?", children)
-        if axis is None:
-            for op_id in ops_under(node):
-                labels = graph.op(op_id).nest.labels()
-                want = labels[loop_depth]
-                if axis is None:
-                    axis = want
-                elif axis != want:
-                    raise NotationError(
-                        f"ops under one brace disagree on axis at depth "
-                        f"{loop_depth}"
-                    )
-            node = LoopNode(axis, children)
-        else:
-            for op_id in ops_under(node):
-                labels = graph.op(op_id).nest.labels()
-                if loop_depth >= len(labels) or labels[loop_depth] != axis:
-                    raise NotationError(
-                        f"axis {axis!r} is not op {op_id}'s axis at depth "
-                        f"{loop_depth}"
-                    )
-        return node
-
-    forest = tuple(build(r, 0, at_root=True) for r in raw_roots)
-    seen: list[int] = []
-    for root in forest:
-        seen.extend(ops_under(root))
-    if sorted(seen) != sorted(known):
-        raise NotationError(
-            f"notation covers ops {sorted(seen)}, kernel has {sorted(known)}"
-        )
+    parser = _NotationParser(text, graph)
+    forest = parser.forest()
+    n = parser.partitions
     if threads is None:
-        tup = (1,) * n_partitions
+        threads = (1,) * n
     elif isinstance(threads, int):
-        tup = (threads,) * n_partitions
-    else:
-        tup = tuple(threads)
-        if len(tup) != n_partitions:
-            raise NotationError(
-                f"{len(tup)} thread counts for {n_partitions} partitions"
-            )
-    return canonicalize(Organism(forest, tup), graph)
+        threads = (threads,) * n
+    elif len(threads) != n:
+        parser.fail(f"{len(threads)} thread counts for {n} partitions")
+    org = Organism(forest, tuple(threads))
+    diag = shape_diagnostic(org, graph)
+    if diag is not None:
+        parser.fail(str(diag), diag)
+    return canonicalize(org, graph)
 
 
 # ---------------------------------------------------------------------------
@@ -456,37 +427,19 @@ def joint_partitions(
 
     All operations must cut the same physical axis (shared operands are
     then sliced identically), and no choice may put a parallel reduction
-    ahead of a consumer inside the same set.  An empty list means
+    ahead of a consumer inside the same set: exactly the axes a p(axis)
+    root over the set passes fusion_legal's partition-axis and reduction
+    rules with, read from the same graph tables.  An empty list means
     partitioned fusion is impossible here.
     """
     ids = sorted(set(op_ids))
-    per_op = {i: enumerate_partitionings(i, graph) for i in ids}
-    assignments = []
-    axes: list[str] = []
-    for i in ids:
-        for choice in per_op[i]:
-            if choice.axis not in axes:
-                axes.append(choice.axis)
-    for axis in axes:
-        picked = {}
-        for i in ids:
-            match = [c for c in per_op[i] if c.axis == axis]
-            if not match:
-                break
-            picked[i] = match[0]
-        else:
-            ok = True
-            for i in ids:
-                if not picked[i].parallel_reduction:
-                    continue
-                result = graph.op(i).result
-                consumers = {c.op_id for c in graph.consumers_of(result)}
-                if consumers & set(ids):
-                    ok = False
-                    break
-            if ok:
-                assignments.append(picked)
-    return assignments
+    if not ids:
+        return []
+    ops = sum(1 << i for i in ids)
+    axes = [a for a in graph.op(ids[0]).nest.labels()
+            if not _stray_op(ops, a, graph) and not _reduction_pair(ops, a, graph)]
+    return [{i: next(c for c in enumerate_partitionings(i, graph) if c.axis == a)
+             for i in ids} for a in axes]
 
 
 # ---------------------------------------------------------------------------
@@ -507,40 +460,31 @@ def _leaf_paths(org: Organism) -> dict[int, tuple[IterNode, ...]]:
     return paths
 
 
-def fusion_legal(
-    org: Organism,
-    graph: DataflowGraph,
-    require_shared_operand: bool = True,
-    partial: bool = False,
-) -> Diagnostic | None:
-    """None when the organism is legal, else the violated rule.
+def shape_diagnostic(org: Organism, graph: DataflowGraph,
+                     partial: bool = False) -> Diagnostic | None:
+    """The first broken shape rule of the forest, or None.
 
-    partial=True relaxes only the every-op-present requirement (used while
-    growing a child organism op by op); all other rules still apply.
+    Every op appears exactly once (at most once under partial=True),
+    at a leaf below exactly the loops of its nest, in nest order;
+    partition nodes sit only at roots; no level is empty; partition
+    slots index the thread counts densely and every count is positive.
     """
-    # -- structure ---------------------------------------------------------
-    seen: list[int] = []
-    for root in org.forest:
-        seen.extend(ops_under(root))
-    covered = sorted(seen)
-    if partial:
-        if len(set(covered)) != len(covered) or not set(covered) <= set(
-                graph.op_ids()):
-            return Diagnostic("structure", "ops must appear at most once each",
-                              tuple(covered))
-    elif covered != graph.op_ids():
-        return Diagnostic("structure", "ops must appear exactly once each",
-                          tuple(covered))
     slots: list[int] = []
+    leaves = 0
 
     def check_node(node: IterNode, loop_path: tuple[str, ...],
                    at_root: bool) -> Diagnostic | None:
+        nonlocal leaves
         if isinstance(node, OpLeaf):
+            leaves += 1
+            if not 1 <= node.op_id <= len(graph.ops):
+                return None  # the coverage check names it
             labels = graph.op(node.op_id).nest.labels()
             if loop_path != labels:
                 return Diagnostic(
                     "structure",
-                    f"op {node.op_id} under loops {loop_path}, nest is {labels}",
+                    f"op {node.op_id} sits under loops {loop_path}, its "
+                    f"nest's axis order is {labels}",
                     (node.op_id,),
                 )
             return None
@@ -551,33 +495,77 @@ def fusion_legal(
                 return Diagnostic("structure",
                                   "partition nodes appear only at root level")
             slots.append(node.slot)
-            for op_id in ops_under(node):
-                if node.axis not in graph.op(op_id).nest.labels():
-                    return Diagnostic(
-                        "structure",
-                        f"partition axis {node.axis} is not an iteration axis "
-                        f"of op {op_id}",
-                        (op_id,), node.axis,
-                    )
-            for child in node.children:
-                d = check_node(child, loop_path, False)
-                if d:
-                    return d
-            return None
+        else:
+            loop_path += (node.axis,)
         for child in node.children:
-            d = check_node(child, loop_path + (node.axis,), False)
+            d = check_node(child, loop_path, False)
             if d:
                 return d
         return None
 
+    covered = 0
     for root in org.forest:
         d = check_node(root, (), True)
         if d:
             return d
+        covered |= root.mask
+    kernel = (1 << len(graph.ops) + 1) - 2
+    if leaves != covered.bit_count() or covered & ~kernel \
+            or not partial and covered != kernel:
+        return Diagnostic(
+            "structure",
+            f"forest covers ops {list(bits(covered))} in {leaves} leaves; "
+            f"each of the kernel's ops {graph.op_ids()} must appear "
+            f"{'at most' if partial else 'exactly'} once",
+            tuple(bits(covered)),
+        )
     if sorted(slots) != list(range(len(org.threads))):
         return Diagnostic("structure", "partition slots must index threads densely")
     if any(t < 1 for t in org.threads):
         return Diagnostic("structure", "thread counts must be positive")
+    return None
+
+
+def _stray_op(ops: int, axis: str, graph: DataflowGraph) -> int:
+    """The lowest op of the bitmask whose nest lacks `axis`, or 0."""
+    return next(bits(ops & ~graph.axis_ops(axis)), 0)
+
+
+def _reduction_pair(ops: int, axis: str, graph: DataflowGraph) -> int:
+    """The first reduction pair of `axis` inside the bitmask, or 0: a
+    loop or partition on `axis` over these ops would let the consumer read
+    the producer's result while it is still accumulating."""
+    return next((p for p in graph.reduction_pairs(axis) if ops & p == p), 0)
+
+
+def fusion_legal(
+    org: Organism,
+    graph: DataflowGraph,
+    require_shared_operand: bool = True,
+    partial: bool = False,
+) -> Diagnostic | None:
+    """None when the organism is legal, else the violated rule.
+
+    The only statement of the legality rules: shape (shape_diagnostic),
+    partition axes, fused-set convexity and sharing, sibling order, the
+    reduction barrier.  partial=True relaxes only the every-op-present
+    requirement (used while growing a child organism op by op); all other
+    rules still apply.
+    """
+    # -- structure ---------------------------------------------------------
+    d = shape_diagnostic(org, graph, partial)
+    if d:
+        return d
+    for root in org.forest:
+        if isinstance(root, PartitionNode):
+            op_id = _stray_op(root.mask, root.axis, graph)
+            if op_id:
+                return Diagnostic(
+                    "structure",
+                    f"partition axis {root.axis} is not an iteration axis "
+                    f"of op {op_id}",
+                    (op_id,), root.axis,
+                )
 
     # -- fused-set rules ----------------------------------------------------
     groups: list[IterNode] = []
@@ -597,9 +585,9 @@ def fusion_legal(
 
     for node in groups:
         if not _convex(node.mask, graph):
-            return dependence_diagnostic(ops_under(node), graph)
+            return dependence_diagnostic(list(bits(node.mask)), graph)
         if require_shared_operand and not _share_connected(node.mask, graph):
-            ops = ops_under(node)
+            ops = list(bits(node.mask))
             return Diagnostic(
                 "shared-operand",
                 f"fused ops {ops} do not share operands",
@@ -614,8 +602,9 @@ def fusion_legal(
                 if down & children[earlier].mask:
                     return Diagnostic(
                         "order",
-                        f"subtree with ops {ops_under(children[later])} must "
-                        f"run before ops {ops_under(children[earlier])}",
+                        f"subtree with ops {list(bits(children[later].mask))} "
+                        f"must run before ops "
+                        f"{list(bits(children[earlier].mask))}",
                     )
         for child in children:
             if not isinstance(child, OpLeaf):
@@ -629,20 +618,18 @@ def fusion_legal(
         return d
 
     # -- reduction barrier ---------------------------------------------------
-    for op in graph.ops:
-        red = op.nest.reduction_axis
-        if red is None:
-            continue
-        for consumer in graph.consumers_of(op.result):
-            pair = (1 << op.op_id) | (1 << consumer.op_id)
-            if any(m & pair == pair for m in by_axis.get(red, ())):
-                return Diagnostic(
-                    "reduction",
-                    f"op {consumer.op_id} reads {op.result}, the "
-                    f"destination of op {op.op_id}'s accumulation over "
-                    f"{red}, inside that {red} level",
-                    (op.op_id, consumer.op_id), red,
-                )
+    broken = [(pair & -pair, pair, axis) for axis, masks in by_axis.items()
+              for m in masks if (pair := _reduction_pair(m, axis, graph))]
+    if broken:  # the first pair in (producer, consumer) order
+        _, pair, red = min(broken)
+        producer, consumer = bits(pair)
+        result = graph.op(producer).result
+        return Diagnostic(
+            "reduction",
+            f"op {consumer} reads {result}, the destination of op "
+            f"{producer}'s accumulation over {red}, inside that {red} level",
+            (producer, consumer), red,
+        )
     return None
 
 

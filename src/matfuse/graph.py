@@ -169,6 +169,10 @@ class DataflowGraph:
                                               repr=False, compare=False)
     _consumers: dict[str, list[OpNode]] = field(default_factory=dict,
                                                 repr=False, compare=False)
+    # per-axis bitmasks, built on first use: the ops iterating the axis,
+    # and the reduction pairs of the axis
+    _axes: tuple[dict[str, int], dict[str, tuple[int, ...]]] | None = field(
+        default=None, repr=False, compare=False)
     _label_of: dict[str, str] = field(default_factory=dict, repr=False)
 
     def op(self, op_id: int) -> OpNode:
@@ -223,6 +227,31 @@ class DataflowGraph:
         """Bitmask of the ops sharing a data node with some op in `ops`."""
         return self._union(2, ops)
 
+    def axis_ops(self, axis: str) -> int:
+        """Bitmask of the ops whose nest iterates `axis`."""
+        return self._axis_tables()[0].get(axis, 0)
+
+    def reduction_pairs(self, axis: str) -> tuple[int, ...]:
+        """(producer | consumer) bitmasks of the op pairs where the consumer
+        reads a result the producer accumulates over `axis`, in (producer,
+        consumer) order.  No loop or partition on `axis` may hold a pair."""
+        return self._axis_tables()[1].get(axis, ())
+
+    def _axis_tables(self):
+        if self._axes is None:
+            ops: dict[str, int] = {}
+            pairs: dict[str, tuple[int, ...]] = {}
+            for op in self.ops:
+                for label in op.nest.labels():
+                    ops[label] = ops.get(label, 0) | 1 << op.op_id
+                red = op.nest.reduction_axis
+                if red is not None:
+                    pairs[red] = pairs.get(red, ()) + tuple(
+                        1 << op.op_id | 1 << c.op_id
+                        for c in self.consumers_of(op.result))
+            self._axes = ops, pairs
+        return self._axes
+
     def _union(self, table: int, ops: int) -> int:
         # memoized per op set: a search meets the same few subtrees again
         # and again, and there are at most 2^n of them
@@ -257,13 +286,19 @@ class DataflowGraph:
         return bool(self.op(a).data_names() & self.op(b).data_names())
 
 
+def bits(mask: int):
+    """The op ids of a bitmask (bit i is op i), ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _or_rows(table: list[int], ops: int) -> int:
     """OR of table[i] over the bits i set in `ops`."""
     out = 0
-    while ops:
-        low = ops & -ops
-        out |= table[low.bit_length() - 1]
-        ops ^= low
+    for i in bits(ops):
+        out |= table[i]
     return out
 
 

@@ -309,7 +309,7 @@ def _check_spec(spec: KernelSpec) -> KernelSpec:
     defined: set[str] = set(inputs)
     assigned: set[str] = set()
     for stmt in spec.statements:
-        for var in _free_vars(stmt.value):
+        for var in free_vars(stmt.value):
             if var not in defined:
                 raise KernelSpecError(
                     f"{var!r} used before it is declared or assigned"
@@ -326,12 +326,13 @@ def _check_spec(spec: KernelSpec) -> KernelSpec:
     return spec
 
 
-def _free_vars(e: Expr) -> list[str]:
+def free_vars(e: Expr) -> list[str]:
+    """The variables an expression reads, in reading order."""
     if isinstance(e, Var):
         return [e.name]
     if isinstance(e, Transpose):
-        return _free_vars(e.operand)
-    return _free_vars(e.left) + _free_vars(e.right)
+        return free_vars(e.operand)
+    return free_vars(e.left) + free_vars(e.right)
 
 
 def parse_kernel(text: str) -> KernelSpec:

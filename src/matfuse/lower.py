@@ -25,9 +25,8 @@ from dataclasses import dataclass, field, replace
 
 from .fuse import (
     IterNode, OpLeaf, Organism, PartitionNode, contracted_temporaries,
-    ops_under,
 )
-from .graph import DataflowGraph
+from .graph import DataflowGraph, bits
 
 
 @dataclass
@@ -152,7 +151,7 @@ def lower(org: Organism, graph: DataflowGraph) -> LoopIR:
             region.partials = [
                 s.base for s in storage.values()
                 if s.cls == "partial"
-                and s.base in {graph.op(o).result for o in ops_under(node)}
+                and s.base in {graph.op(o).result for o in bits(node.mask)}
             ]
             return [region]
         body: list = []

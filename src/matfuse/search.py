@@ -35,9 +35,9 @@ from .cost import CachedFitness, CostReport, cached
 from .fuse import (
     IterNode, Limits, LoopNode, OpLeaf, Organism, PartitionNode,
     canonical_key, canonicalize, enumerate_partitionings, enumerate_space,
-    full_nest, fusion_legal, initial_forest, joint_partitions, ops_under,
+    full_nest, fusion_legal, initial_forest, joint_partitions,
 )
-from .graph import DataflowGraph
+from .graph import DataflowGraph, bits
 
 STRATEGIES = ("random", "mf", "ga", "mfga", "orthogonal", "exhaustive")
 _SWEPT = ("mfga", "ga", "orthogonal")  # strategies ending in a thread sweep
@@ -54,7 +54,7 @@ class SearchConfig:
     thread_mode: str = "global"  # "const" | "global" | "exhaustive"
     core_count: int = 8
     max_ops_exhaustive: int = 4
-    max_random_steps: int = 200_000
+    max_random_steps: int | None = None  # None: 10 x the evaluation budget
     require_shared_operand: bool = True  # profitability pruning of fusions
 
     def __post_init__(self):
@@ -194,7 +194,7 @@ def max_fuse(graph: DataflowGraph, core_count: int = 8) -> Organism:
     """
     def merge_roots(org: Organism, ia: int, ib: int) -> Organism | None:
         ra, rb = org.forest[ia], org.forest[ib]
-        group = sorted(ops_under(ra) + ops_under(rb))
+        group = list(bits(ra.mask | rb.mask))
         inner_a = ra.children if isinstance(ra, PartitionNode) else (ra,)
         inner_b = rb.children if isinstance(rb, PartitionNode) else (rb,)
         for asg in _choice_order(joint_partitions(group, graph), graph):
@@ -218,10 +218,10 @@ def max_fuse(graph: DataflowGraph, core_count: int = 8) -> Organism:
     # partition leftover solo roots on their preferred axis; wrapping a
     # root keeps its place in the canonical root order
     for ridx, root in enumerate(org.forest):
-        ops = ops_under(root)
-        if isinstance(root, PartitionNode) or len(ops) != 1:
+        if isinstance(root, PartitionNode) or root.mask.bit_count() != 1:
             continue
-        choices = sorted(enumerate_partitionings(ops[0], graph),
+        op_id = root.mask.bit_length() - 1
+        choices = sorted(enumerate_partitionings(op_id, graph),
                          key=lambda c: (c.parallel_reduction, c.axis))
         for choice in choices:
             part = PartitionNode(choice.axis, len(org.threads), (root,))
@@ -327,7 +327,7 @@ def mutate(org: Organism, graph: DataflowGraph, rng: random.Random,
             if bare:
                 ridx = bare[rng.randrange(len(bare))]
                 root = org.forest[ridx]
-                assignments = joint_partitions(ops_under(root), graph)
+                assignments = joint_partitions(list(bits(root.mask)), graph)
                 if assignments:
                     asg = assignments[rng.randrange(len(assignments))]
                     axis = next(iter(asg.values())).axis
@@ -348,7 +348,7 @@ def mutate(org: Organism, graph: DataflowGraph, rng: random.Random,
             ridx = parts[rng.randrange(len(parts))]
             root = org.forest[ridx]
             axes = [next(iter(a.values())).axis
-                    for a in joint_partitions(ops_under(root), graph)]
+                    for a in joint_partitions(list(bits(root.mask)), graph)]
             axes = [a for a in axes if a != root.axis]
             if axes:
                 axis = axes[rng.randrange(len(axes))]
@@ -479,13 +479,13 @@ def _level_masks(org: Organism) -> list[dict[int, int]]:
         if not isinstance(node, PartitionNode):
             while len(levels) <= nxt:
                 levels.append({})
-            for op in ops_under(node):
+            for op in bits(node.mask):
                 levels[nxt][op] = node.mask
         for child in node.children:
             walk(child, nxt)
 
     for root in org.forest:
-        for op in ops_under(root):
+        for op in bits(root.mask):
             levels[0][op] = root.mask
         walk(root, 0)
     return levels
@@ -652,7 +652,7 @@ class _Evaluator:
 
     def __call__(self, org: Organism) -> CostReport:
         key = canonical_key(org)
-        fresh = self.fitness.key(org) not in self.fitness._table
+        fresh = org not in self.fitness
         # the seed evaluation is always allowed, even at budget 0
         if fresh and self.cfg.budget is not None \
                 and self.fitness.misses >= max(self.cfg.budget, 1):
@@ -734,7 +734,9 @@ def run_strategy(strategy: str, graph: DataflowGraph, cfg: SearchConfig,
             ev(org)
             budget = cfg.budget if cfg.budget is not None else \
                 cfg.generations * cfg.population
-            for _ in range(cfg.max_random_steps):
+            steps = cfg.max_random_steps if cfg.max_random_steps is not None \
+                else 10 * budget
+            for _ in range(steps):
                 if ev.fitness.misses >= budget + 1:
                     break
                 org = mutate(org, graph, rng, cfg)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matfuse.fuse import (
-    Limits, NotationError, SpaceError, canonical_key,
-    contracted_temporaries, digit_space_size, enumerate_partitionings,
-    enumerate_space, format_notation, fusion_legal, initial_forest,
-    joint_partitions, parse_notation,
+    Limits, NotationError, Organism, PartitionNode, SpaceError,
+    canonical_key, canonicalize, contracted_temporaries,
+    dependence_diagnostic, digit_space_size, enumerate_partitionings,
+    enumerate_space, format_notation, full_nest, fusion_legal,
+    initial_forest, joint_partitions, parse_notation,
 )
 from matfuse.graph import build_dataflow, infer_types
 from matfuse.lang import parse_kernel
@@ -88,6 +90,24 @@ class TestNotation:
             parse_notation("{_{p(i)}{_i{_j 1}{_j 2}}}{_j 3}", batax,
                            threads=(2, 4))
 
+    def test_nested_partition_rejected(self, batax):
+        with pytest.raises(NotationError, match="partition"):
+            parse_notation("{_i{_{p(j)}{_j 1}}}{_i{_j 2}}{_j 3}", batax)
+
+    def test_op_under_too_few_loops_rejected(self, batax):
+        with pytest.raises(NotationError, match="op 1"):
+            parse_notation("{_i 1}{_i{_j 2}}{_j 3}", batax)
+
+    def test_shape_error_carries_fusion_legal_diagnostic(self, batax):
+        from matfuse.fuse import LoopNode, OpLeaf
+
+        with pytest.raises(NotationError) as info:
+            parse_notation("{_i 1}{_i{_j 2}}{_j 3}", batax)
+        shallow = Organism((LoopNode("i", (OpLeaf(1),)),
+                            full_nest(batax.op(2)), full_nest(batax.op(3))), ())
+        assert info.value.diagnostic == fusion_legal(shallow, batax)
+        assert info.value.diagnostic.rule == "structure"
+
     @settings(max_examples=120, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
     def test_random_organisms_round_trip(self, batax, seed):
@@ -152,6 +172,34 @@ class TestPartitioning:
         got = joint_partitions([1, 2], g)
         assert [(a[1].axis, a[2].axis) for a in got] == expected
         assert len(got) == 2
+
+    def test_joint_axes_are_the_legal_partition_axes(self, all_graphs):
+        """For every convex set of 1-3 ops, joint_partitions offers exactly
+        the axes a one-root p(axis) organism over the set passes with."""
+        for g in all_graphs.values():
+            ids = g.op_ids()
+            axes = sorted({a for op in g.ops for a in op.nest.labels()})
+
+            def passes(subset, axis):
+                part = PartitionNode(axis, 0, tuple(
+                    full_nest(g.op(i)) for i in subset))
+                rest = tuple(full_nest(g.op(i)) for i in ids
+                             if i not in subset)
+                org = canonicalize(Organism((part,) + rest, (2,)), g)
+                return fusion_legal(org, g, require_shared_operand=False) \
+                    is None
+
+            for size in (1, 2, 3):
+                for subset in itertools.combinations(ids, size):
+                    if dependence_diagnostic(list(subset), g) is not None:
+                        continue
+                    got = [next(iter(a.values())).axis
+                           for a in joint_partitions(subset, g)]
+                    legal = [a for a in g.op(subset[0]).nest.labels()
+                             if passes(subset, a)]
+                    assert got == legal, (g.spec.name, subset)
+                    assert not any(passes(subset, a) for a in axes
+                                   if a not in legal), (g.spec.name, subset)
 
 
 class TestLegality:

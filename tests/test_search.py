@@ -251,6 +251,14 @@ class TestStrategies:
                            analytic(g))
         assert res.evaluations <= 40
 
+    def test_random_walk_stops_at_ten_times_its_budget(self, corpus_graphs):
+        # BICGK's legal space is far smaller than 1000 organisms, so only
+        # the step bound ends this walk
+        res = run_strategy("random", corpus_graphs["bicgk"],
+                           SearchConfig(budget=1000),
+                           analytic(corpus_graphs["bicgk"]))
+        assert res.evaluations + res.cache_hits <= 10_001
+
     def test_vadd_exhaustive_log_length_is_space_size(self, corpus_graphs):
         g = corpus_graphs["vadd"]
         cfg = SearchConfig(core_count=6, seed=0)

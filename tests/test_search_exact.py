@@ -3,17 +3,23 @@
 Crossover checks only the root that received an op (plus root order);
 these tests hold that verdict against re-checking the whole growing child,
 and pin fixed-seed search logs on every bundled kernel to a digest taken
-before the bitmask legality checks existed.
+before the bitmask legality checks existed, and every verdict
+fusion_legal gives in those searches and in small-kernel enumeration to
+a digest taken before it shared its rules with the notation parser and
+joint_partitions.
 """
 
 import hashlib
 import json
 import random
 
-from matfuse import search
-from matfuse.corpus import available, load_graph
+from matfuse import fuse, search
+from matfuse.corpus import SMALL_KERNELS, available, load_graph
 from matfuse.cost import AnalyticCost, MachineModel, cached
-from matfuse.fuse import LoopNode, OpLeaf, fusion_legal, initial_forest
+from matfuse.fuse import (
+    Limits, LoopNode, OpLeaf, canonical_key, enumerate_space, fusion_legal,
+    initial_forest,
+)
 from matfuse.graph import build_dataflow, infer_types
 from matfuse.lang import parse_kernel
 from matfuse.search import (
@@ -23,6 +29,10 @@ from matfuse.search import (
 # sha256 of the logs below as the op-by-op legality checks produced them
 SEARCH_LOG_DIGEST = \
     "43bbecf23e4064845cc77aa8c413b34990fee42a961579138503df8019129eb2"
+# sha256 of the legality verdicts below, taken before the notation parser
+# and joint_partitions deferred to fusion_legal's rules
+LEGALITY_VERDICT_DIGEST = \
+    "b20c9f67312d17e6b9ecc4d66edee126dacc61a46a822278782911cd71741eed"
 
 
 def test_root_local_check_equals_full_check(monkeypatch):
@@ -91,3 +101,32 @@ def search_log_digest() -> str:
 
 def test_fixed_seed_search_logs_unchanged():
     assert search_log_digest() == SEARCH_LOG_DIGEST
+
+
+def legality_verdict_digest(monkeypatch) -> str:
+    """sha256 of the distinct (key, require_shared_operand, rule) verdicts
+    fusion_legal gives during the logged searches above and during the
+    full enumerations of the small kernels and BATAX, pruning on and off
+    (enumerate_space checks every candidate it builds)."""
+    check = fuse.fusion_legal
+    verdicts = set()
+
+    def recorded(org, graph, require_shared_operand=True, partial=False):
+        diag = check(org, graph, require_shared_operand, partial)
+        verdicts.add(f"{canonical_key(org)}\t{require_shared_operand}\t"
+                     f"{diag.rule if diag else None}")
+        return diag
+
+    monkeypatch.setattr(fuse, "fusion_legal", recorded)
+    monkeypatch.setattr(search, "fusion_legal", recorded)
+    search_log_digest()
+    for name in SMALL_KERNELS + ("batax",):
+        g = load_graph(name)
+        for prune in (True, False):
+            for _ in enumerate_space(g, Limits(require_shared_operand=prune)):
+                pass
+    return hashlib.sha256("\n".join(sorted(verdicts)).encode()).hexdigest()
+
+
+def test_legality_verdicts_unchanged(monkeypatch):
+    assert legality_verdict_digest(monkeypatch) == LEGALITY_VERDICT_DIGEST
