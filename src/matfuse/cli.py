@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -39,6 +40,10 @@ EXIT_USAGE = 1
 EXIT_KERNEL = 2
 EXIT_TOOLCHAIN = 3
 
+# a file that is missing, a directory or unreadable, or a kernel file that
+# is not UTF-8 text: an environment problem, reported without a traceback
+FILE_ERRORS = (OSError, UnicodeError)
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -48,8 +53,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_graph(path: str):
-    text = Path(path).read_text()
+    text = corpus_mod.read_source(path)
     return infer_types(build_dataflow(parse_kernel(text)))
+
+
+def _json(value, indent: int | None = None) -> str:
+    """JSON text of `value`, with null for every non-finite float: the
+    Infinity and NaN that json.dumps would write are not JSON."""
+    def finite(v):
+        if isinstance(v, float) and not math.isfinite(v):
+            return None
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        if isinstance(v, list):
+            return [finite(x) for x in v]
+        return v
+    return json.dumps(finite(value), indent=indent, allow_nan=False)
 
 
 def _at_least(low: int):
@@ -183,7 +202,7 @@ def cmd_search(args) -> int:
     log_path = outdir / "log.jsonl"
     with log_path.open("a") as fh:
         for entry in result.log:
-            fh.write(json.dumps(entry.as_dict()) + "\n")
+            fh.write(_json(entry.as_dict()) + "\n")
     kernel = _emit(result.best, graph, extents)
     (outdir / "best.c").write_text(kernel.source)
     summary = {
@@ -197,8 +216,8 @@ def cmd_search(args) -> int:
         "seed": cfg.seed,
         "fitness_source": args.fitness,
     }
-    (outdir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    print(json.dumps(summary, indent=2))
+    (outdir / "summary.json").write_text(_json(summary, indent=2) + "\n")
+    print(_json(summary, indent=2))
     if not args.no_validate:
         toolchain = Toolchain(args.cc, args.cc_template)
         if toolchain.available:
@@ -290,14 +309,14 @@ def cmd_corpus(args) -> int:
                 if not entry["validated"]:
                     failed = True
         except (KernelSyntaxError, KernelSpecError, TypeCheckError,
-                FileNotFoundError) as exc:
+                *FILE_ERRORS) as exc:
             entry["error"] = str(exc)
             failed = True
         except ToolchainError as exc:
             entry["error"] = str(exc)
             failed = True
         report.append(entry)
-    print(json.dumps(report, indent=2))
+    print(_json(report, indent=2))
     if failed:
         return EXIT_KERNEL
     return 0
@@ -395,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     except ToolchainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOOLCHAIN
-    except FileNotFoundError as exc:
+    except FILE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -35,8 +35,18 @@ def kernel_path(name: str, directory: str | Path | None = None) -> Path:
     return path
 
 
+def read_source(path: str | Path) -> str:
+    """A kernel file's text; a file that is not UTF-8 raises a UnicodeError
+    that names it."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise UnicodeError(f"{path} is not UTF-8 text ({exc.reason} at "
+                           f"byte {exc.start})") from None
+
+
 def kernel_source(name: str, directory: str | Path | None = None) -> str:
-    return kernel_path(name, directory).read_text()
+    return read_source(kernel_path(name, directory))
 
 
 def load_kernel(name: str, directory: str | Path | None = None) -> KernelSpec:

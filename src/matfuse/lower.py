@@ -2,12 +2,14 @@
 
 The IR mirrors the organism tree exactly: one sequential loop per loop
 node, one parallel region per partition node, each operation's statement
-at its innermost fused level.  On top of that the lowering places the
-bookkeeping the tree implies:
+at its innermost fused level.  The same single walk of the tree places
+the bookkeeping the tree implies, at the loop node where it reaches each
+reduction loop:
 
-- reduction results are zero-initialized in the deepest scope that still
-  precedes the whole reduction loop (inside the parallel workers when the
-  reduction runs inside a partition);
+- reduction results are zero-initialized just before their reduction
+  loop, in ascending op id, inside loops for the result's axes not yet in
+  scope (inside the parallel workers when the reduction runs inside a
+  partition);
 - when a partition cuts an operation's reduction axis, the operation
   accumulates into a per-thread partial buffer and a join after the
   region combines the blocks in ascending block order.
@@ -24,9 +26,10 @@ from collections.abc import Container
 from dataclasses import dataclass, field, replace
 
 from .fuse import (
-    IterNode, OpLeaf, Organism, PartitionNode, contracted_temporaries,
+    IterNode, LoopNode, OpLeaf, Organism, PartitionNode,
+    contracted_temporaries,
 )
-from .graph import DataflowGraph, bits
+from .graph import ROW_MAJOR, DataflowGraph, OpNode, bits, is_vector
 
 
 @dataclass
@@ -36,7 +39,6 @@ class Storage:
     extents: tuple[str, ...]  # e.g. ("M", "N"); () for scalars
     labels: tuple[str, ...]  # axis label indexing each dim
     order: str  # "row" | "col" | "vec" | "scalar"
-    scalar_param: bool = False  # declared scalar input (by-value parameter)
     base: str | None = None  # partials: the result they feed
 
 
@@ -101,8 +103,6 @@ class LoopIR:
 
 
 def _storage_for(graph: DataflowGraph) -> dict[str, Storage]:
-    from .graph import ROW_MAJOR, is_vector
-
     table: dict[str, Storage] = {}
     for name, node in graph.data.items():
         labels = tuple(graph._label_of[d] for d in node.dims)
@@ -112,61 +112,68 @@ def _storage_for(graph: DataflowGraph) -> dict[str, Storage]:
             order = "vec"
         else:
             order = "row" if node.ctype == ROW_MAJOR else "col"
-        table[name] = Storage(
-            name, node.role, node.dims, labels, order,
-            scalar_param=(node.role == "input" and order == "scalar"),
-        )
+        table[name] = Storage(name, node.role, node.dims, labels, order)
     return table
 
 
 def lower(org: Organism, graph: DataflowGraph) -> LoopIR:
-    """Build the uncontracted loop IR for a legal organism."""
+    """Build the uncontracted loop IR for a legal organism in one walk of
+    its tree, placing each reduction's init (and partial buffer) as the
+    walk reaches the reduction loop."""
     storage = _storage_for(graph)
-    extent_of = {}
-    for op in graph.ops:
-        for ax in op.nest.axes:
-            extent_of[ax.label] = ax.extent
+    extent_of = {ax.label: ax.extent
+                 for op in graph.ops for ax in op.nest.axes}
 
-    def op_items(op_id: int, part_axis: str | None) -> list:
-        """The compute statement, plus a partial buffer when the partition
-        cuts this op's reduction axis."""
-        op = graph.op(op_id)
-        red = op.nest.reduction_axis
-        if red is not None and red == part_axis:
-            res = storage[op.result]
-            pname = _unique(storage, op.result + "_part")
-            storage[pname] = Storage(
-                pname, "partial", res.extents, res.labels, res.order,
-                base=op.result,
-            )
-        return [IRStmt("compute", op_id)]
+    def init(op: OpNode, scope: tuple[str, ...],
+             region: IRParallel | None) -> IRLoop | IRStmt:
+        """The zero-init of a reduction op's result, wrapped in loops for its
+        axes not yet in scope.  When the region's partition cuts the
+        reduction, the op accumulates into a per-thread partial buffer,
+        which each thread zeroes whole; otherwise an init loop over the
+        partition axis covers only the block."""
+        part = region.axis if region else None
+        cut = part == op.nest.reduction_axis
+        res = storage[op.result]
+        target = op.result
+        if cut:
+            target = _unique(storage, op.result + "_part")
+            storage[target] = Storage(target, "partial", res.extents,
+                                      res.labels, res.order, op.result)
+            region.partials.append(op.result)
+        item: IRLoop | IRStmt = IRStmt("init", op.op_id, target)
+        for lab in reversed(res.labels):
+            if lab not in scope:
+                sliced = lab == part and not cut
+                item = IRLoop(lab, extent_of[lab], "init", sliced, [item])
+        return item
 
-    def lower_node(node: IterNode, part_axis: str | None) -> list:
+    def lower_node(node: IterNode, scope: tuple[str, ...],
+                   region: IRParallel | None) -> list:
         if isinstance(node, OpLeaf):
-            return op_items(node.op_id, part_axis)
+            red = graph.op(node.op_id).nest.reduction_axis
+            assert red is None or red in scope, \
+                f"no reduction loop for op {node.op_id}"
+            return [IRStmt("compute", node.op_id)]
         if isinstance(node, PartitionNode):
-            region = IRParallel(node.axis, extent_of[node.axis], node.slot, [])
+            inner = IRParallel(node.axis, extent_of[node.axis], node.slot, [])
             for child in node.children:
-                region.body.extend(lower_node(child, node.axis))
-            region.partials = [
-                s.base for s in storage.values()
-                if s.cls == "partial"
-                and s.base in {graph.op(o).result for o in bits(node.mask)}
-            ]
-            return [region]
+                inner.body.extend(lower_node(child, scope, inner))
+            return [inner]
+        under = (graph.op(i) for i in bits(node.mask))
+        items = [init(op, scope, region) for op in under
+                 if op.nest.reduction_axis == node.axis]
         body: list = []
         for child in node.children:
-            body.extend(lower_node(child, part_axis))
-        return [IRLoop(node.axis, extent_of[node.axis], "iter",
-                       node.axis == part_axis, body)]
+            body.extend(lower_node(child, scope + (node.axis,), region))
+        sliced = region is not None and node.axis == region.axis
+        items.append(IRLoop(node.axis, extent_of[node.axis], "iter", sliced,
+                            body))
+        return items
 
     roots: list = []
     for root in org.forest:
-        roots.extend(lower_node(root, None))
-
-    ir = LoopIR(graph, org, roots, storage)
-    _insert_inits(ir)
-    return ir
+        roots.extend(lower_node(root, (), None))
+    return LoopIR(graph, org, roots, storage)
 
 
 def _unique(taken: Container[str], want: str) -> str:
@@ -174,70 +181,6 @@ def _unique(taken: Container[str], want: str) -> str:
     while name in taken:
         name += "_"
     return name
-
-
-def _insert_inits(ir: LoopIR):
-    """Zero-initialize every reduction destination just before its
-    reduction loop, inside all loops that index the destination."""
-    graph = ir.graph
-
-    def find_and_insert(items: list, op_id: int, red: str,
-                        in_scope: tuple[str, ...],
-                        part_axis: str | None) -> bool:
-        for idx, item in enumerate(items):
-            if isinstance(item, IRParallel):
-                if _contains_op(item.body, op_id):
-                    return find_and_insert(item.body, op_id, red, in_scope,
-                                           item.axis)
-            elif isinstance(item, IRLoop):
-                if not _contains_op(item.body, op_id):
-                    continue
-                if item.axis == red:
-                    items.insert(idx, _init_item(ir, op_id, in_scope,
-                                                 part_axis))
-                    return True
-                return find_and_insert(item.body, op_id, red,
-                                       in_scope + (item.axis,), part_axis)
-        return False
-
-    for op in graph.ops:
-        red = op.nest.reduction_axis
-        if red is None:
-            continue
-        found = find_and_insert(ir.roots, op.op_id, red, (), None)
-        assert found, f"no reduction loop for op {op.op_id}"
-
-
-def _contains_op(items: list, op_id: int) -> bool:
-    for item in items:
-        if isinstance(item, IRStmt) and item.op_id == op_id:
-            return True
-        if isinstance(item, (IRLoop, IRParallel)) and _contains_op(item.body, op_id):
-            return True
-    return False
-
-
-def _init_item(ir: LoopIR, op_id: int, in_scope: tuple[str, ...],
-               part_axis: str | None):
-    """An init statement for the op's result, wrapped in loops for any of
-    the result's axes whose loop variables are not yet in scope.
-
-    Inside a parallel region, an init loop over the partitioned axis must
-    cover only this thread's block; per-thread partial buffers are the
-    exception (each thread owns and zeroes its whole slice).
-    """
-    op = ir.graph.op(op_id)
-    result = op.result
-    partial = ir.partial_for(result)
-    target = partial.name if partial else result
-    labels = ir.storage[result].labels
-    item: IRLoop | IRStmt = IRStmt("init", op_id, target)
-    extent_of = {ax.label: ax.extent for ax in op.nest.axes}
-    for lab in reversed(labels):
-        if lab not in in_scope:
-            sliced = partial is None and lab == part_axis
-            item = IRLoop(lab, extent_of.get(lab, "M"), "init", sliced, [item])
-    return item
 
 
 def contract_arrays(ir: LoopIR) -> LoopIR:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import atexit
 import ctypes
+import math
 import os
 import shlex
 import shutil
@@ -85,17 +86,21 @@ class Toolchain:
         return binary
 
 
+def _numpy_order(node) -> str:
+    """The numpy order of a node's C layout: "F" for a column-major
+    matrix, else "C"."""
+    if len(node.dims) == 2 and node.ctype is not None \
+            and node.ctype.orientation == "R":
+        return "F"
+    return "C"
+
+
 def _flatten(name: str, value, extents: dict[str, int], node) -> np.ndarray:
     arr = np.asarray(value, dtype=np.float64)
     want = tuple(extents[d] for d in node.dims)
     if arr.shape != want:
         raise ValueError(f"{name}: expected shape {want}, got {arr.shape}")
-    order = "C"
-    if len(node.dims) == 2 and node.ctype is not None \
-            and node.ctype.orientation == "R":
-        order = "F"  # column-major storage
-    flat = arr.ravel(order=order)
-    return np.ascontiguousarray(flat)
+    return np.ascontiguousarray(arr.ravel(order=_numpy_order(node)))
 
 
 def run_kernel(
@@ -144,11 +149,7 @@ def run_kernel(
             outputs[name] = float(buf[0])
         else:
             shape = tuple(extents[d] for d in node.dims)
-            order = "C"
-            if len(shape) == 2 and node.ctype is not None \
-                    and node.ctype.orientation == "R":
-                order = "F"
-            outputs[name] = buf.reshape(shape, order=order)
+            outputs[name] = buf.reshape(shape, order=_numpy_order(node))
     return outputs
 
 
@@ -167,13 +168,16 @@ def random_inputs(graph: DataflowGraph, extents: dict[str, int],
 
 
 def max_rel_error(got: dict, want: dict) -> float:
+    """Largest |got - want| / max(|want|, 1) over every output element;
+    inf when any element is NaN or infinite (an output never written
+    stays NaN), since max() would skip a NaN."""
     worst = 0.0
     for name, expected in want.items():
         g = np.asarray(got[name], dtype=np.float64)
         e = np.asarray(expected, dtype=np.float64)
         scale = np.maximum(np.abs(e), 1.0)
-        err = np.max(np.abs(g - e) / scale) if e.size else 0.0
-        worst = max(worst, float(err))
+        err = float(np.max(np.abs(g - e) / scale)) if e.size else 0.0
+        worst = max(worst, err if math.isfinite(err) else math.inf)
     return worst
 
 

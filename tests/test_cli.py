@@ -1,8 +1,11 @@
 import json
+import math
+import pathlib
 import tempfile
 
 import pytest
 
+from matfuse import cli
 from matfuse.cli import main
 from matfuse.corpus import kernel_path
 
@@ -75,6 +78,23 @@ class TestCompile:
                          "--no-validate", "-o", str(tmp_path / "x.c"))
         assert code == 1
 
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8", "unreadable"])
+    def test_unreadable_kernel_file_exits_1(self, kind, capsys, tmp_path,
+                                            monkeypatch):
+        src = tmp_path / "k.bto"
+        if kind == "directory":
+            src.mkdir()
+        else:
+            src.write_bytes(b"VADD \xff\xfe")
+        if kind == "unreadable":  # chmod does not stop a root reader
+            def denied(self, *args, **kwargs):
+                raise PermissionError(13, "Permission denied", str(self))
+            monkeypatch.setattr(pathlib.Path, "read_text", denied)
+        code, _, stderr = run(capsys, "compile", str(src), "--no-validate",
+                              "-o", str(tmp_path / "x.c"))
+        assert code == 1
+        assert stderr.startswith("error: ") and str(src) in stderr
+
     def test_usage_error_exits_1(self, capsys):
         code = main(["compile"])
         capsys.readouterr()
@@ -120,6 +140,29 @@ class TestSearch:
         assert code == 1
         assert "ops" in stderr
 
+    def test_failed_candidates_write_valid_json(self, tmp_path, capsys):
+        outdir = tmp_path / "run"
+        code, stdout, _ = run(
+            capsys, "search", str(kernel_path("vadd")), "--fitness",
+            "empirical", "--budget", "2", "--extents", "64", "--cc", "false",
+            "--cc-template", "{cc} {src} -o {bin}", "--no-validate",
+            "--out-dir", str(outdir),
+        )
+        assert code == 0
+        summary = strict_json((outdir / "summary.json").read_text())
+        assert summary["fitness"] is None
+        assert strict_json(stdout) == summary
+        entries = [strict_json(line) for line in
+                   (outdir / "log.jsonl").read_text().splitlines()]
+        assert entries and all(e["fitness"] is None for e in entries)
+
+
+def strict_json(text: str):
+    """json.loads that rejects Infinity and NaN, which are not JSON."""
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=reject)
+
 
 class TestEnumerate:
     def test_counts_and_digit_space(self, capsys):
@@ -163,6 +206,16 @@ class TestCorpus:
         assert report[0]["output_reuse"]["B"] == 2
         if have_cc:
             assert report[0]["validated"]
+
+    def test_non_finite_error_is_written_as_null(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "validation_error",
+                            lambda *args, **kwargs: math.inf)
+        code, stdout, _ = run(capsys, "corpus", "--kernel", "vadd",
+                              "--extents", "8", "--cc", "true")
+        assert code != 0
+        report = strict_json(stdout)
+        assert report[0]["max_rel_error"] is None
+        assert report[0]["validated"] is False
 
     def test_empty_corpus_dir_is_an_error(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "corpus", "--corpus-dir",

@@ -8,8 +8,8 @@ import pytest
 from matfuse.cemit import emit_c
 from matfuse.corpus import available, load_graph
 from matfuse.fuse import (
-    Limits, LoopNode, PartitionNode, enumerate_space, initial_forest,
-    parse_notation,
+    Limits, LoopNode, OpLeaf, Organism, PartitionNode, enumerate_space,
+    initial_forest, parse_notation,
 )
 from matfuse.graph import build_dataflow, infer_types
 from matfuse.interp import EvaluationError, reference_evaluate
@@ -90,6 +90,12 @@ class TestLowering:
         assert regions[0].partials == ["t1"]
         assert regions[1].partials == []
         assert ir.contracted == frozenset({"t0"})
+
+    def test_reduction_outside_its_loop_fails_loudly(self, batax):
+        # every op as a bare leaf: no reduction op sits under its loop
+        org = Organism(tuple(OpLeaf(i) for i in batax.op_ids()), ())
+        with pytest.raises(AssertionError, match="no reduction loop"):
+            lower(org, batax)
 
     def test_scalar_kernel_is_loop_free(self):
         g = infer_types(build_dataflow(parse_kernel(

@@ -1,10 +1,14 @@
 import math
 import tempfile
 
+import numpy as np
+import pytest
+
 from matfuse.cost import (
     EmpiricalTimer, MachineModel, cached, estimate_cost, measure_empirical,
 )
 from matfuse.fuse import Organism, parse_notation, initial_forest
+from matfuse.runtime import max_rel_error
 from matfuse.search import max_fuse
 
 
@@ -176,10 +180,29 @@ class TestEmpirical:
         assert report.failed
         assert report.diagnostic.startswith("numerical-mismatch")
 
+    @pytest.mark.parametrize("store", [";", "y[j] = 0.0 / 0.0;"])
+    def test_unwritten_or_nan_output_is_a_mismatch(self, batax, toolchain,
+                                                   store):
+        report = measure_empirical(
+            max_fuse(batax, 2), batax, toolchain, {"M": 64, "N": 64},
+            reps=1, source_filter=lambda s: s.replace(
+                "y[j] = t1[j] * beta;", store, 1),
+        )
+        assert report.failed
+        assert report.diagnostic.startswith("numerical-mismatch")
+
     def test_timer_class_wraps_measurement(self, batax, toolchain):
         timer = EmpiricalTimer(batax, toolchain, {"M": 64, "N": 64}, reps=1)
         report = timer(initial_forest(batax))
         assert report.source == "empirical" and not report.failed
+
+
+def test_nan_outputs_never_validate():
+    want = {"y": np.zeros(3), "s": 1.0}
+    for got in ({"y": np.array([0.0, np.nan, 0.0]), "s": 1.0},
+                {"y": np.zeros(3), "s": math.nan},
+                {"y": np.full(3, np.inf), "s": 1.0}):
+        assert not max_rel_error(got, want) < 1e-10
 
 
 class TestEmpiricalHygiene:

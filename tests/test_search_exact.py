@@ -6,7 +6,8 @@ and pin fixed-seed search logs on every bundled kernel to a digest taken
 before the bitmask legality checks existed, and every verdict
 fusion_legal gives in those searches and in small-kernel enumeration to
 a digest taken before it shared its rules with the notation parser and
-joint_partitions.
+joint_partitions, and the C emitted for a wide set of organisms to a
+digest taken before lowering placed its reduction bookkeeping in one walk.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ import json
 import random
 
 from matfuse import fuse, search
+from matfuse.cemit import emit_c
 from matfuse.corpus import SMALL_KERNELS, available, load_graph
 from matfuse.cost import AnalyticCost, MachineModel, cached
 from matfuse.fuse import (
@@ -22,6 +24,7 @@ from matfuse.fuse import (
 )
 from matfuse.graph import build_dataflow, infer_types
 from matfuse.lang import parse_kernel
+from matfuse.lower import contract_arrays, lower
 from matfuse.search import (
     SearchConfig, crossover, max_fuse, random_organism, run_strategy,
 )
@@ -33,6 +36,10 @@ SEARCH_LOG_DIGEST = \
 # and joint_partitions deferred to fusion_legal's rules
 LEGALITY_VERDICT_DIGEST = \
     "b20c9f67312d17e6b9ecc4d66edee126dacc61a46a822278782911cd71741eed"
+# sha256 of the C emitted for the organisms below, taken before lowering
+# placed reduction inits and partial buffers during its one tree walk
+EMIT_DIGEST = \
+    "493e5f71b6897ebbfe2d340a569f9d41542fab44370f950031afa9efa31b267d"
 
 
 def test_root_local_check_equals_full_check(monkeypatch):
@@ -130,3 +137,29 @@ def legality_verdict_digest(monkeypatch) -> str:
 
 def test_legality_verdicts_unchanged(monkeypatch):
     assert legality_verdict_digest(monkeypatch) == LEGALITY_VERDICT_DIGEST
+
+
+def emit_digest() -> str:
+    """sha256 of the C emitted, contracted and uncontracted, at unequal
+    small extents, for the initial forest, max-fuse at 2 and 3 cores and
+    60 seeded random organisms of every bundled kernel, plus the whole
+    enumerated space of each kernel with at most four ops."""
+    h = hashlib.sha256()
+    for name in available():
+        g = load_graph(name)
+        extents = {n: 5 + 2 * i for i, n in enumerate(g.extent_names)}
+        rng = random.Random(f"emit {name}")
+        orgs = [initial_forest(g), max_fuse(g, 2), max_fuse(g, 3)]
+        orgs += [random_organism(g, rng, SearchConfig(core_count=3))
+                 for _ in range(60)]
+        if len(g.ops) <= Limits().max_ops:
+            orgs += list(enumerate_space(g))
+        for org in orgs:
+            ir = lower(org, g)
+            for emitted in (ir, contract_arrays(ir)):
+                h.update(emit_c(emitted, extents).source.encode())
+    return h.hexdigest()
+
+
+def test_emitted_c_unchanged():
+    assert emit_digest() == EMIT_DIGEST
