@@ -177,7 +177,7 @@ class _Emitter:
         self.w.close()
 
     def emit_region(self, region: IRParallel):
-        t = self.ir.organism.threads[region.slot]
+        t = region.threads
         block = self.name(f"p{region.slot}")
         for result in region.partials:
             p = self.ir.partial_for(result)

@@ -8,7 +8,9 @@ Subcommands:
     corpus     type-check, max-fuse and validate the bundled kernels
 
 Exit codes are a stable contract: 0 success, 1 usage or environment
-problem, 2 kernel legality/type error, 3 toolchain error.
+problem, 2 kernel legality/type error, 3 toolchain error (for search:
+also no candidate succeeded).  A corpus run that fails several ways
+exits with the first of 1, 3, 2 that applies.
 """
 
 from __future__ import annotations
@@ -218,6 +220,10 @@ def cmd_search(args) -> int:
     }
     (outdir / "summary.json").write_text(_json(summary, indent=2) + "\n")
     print(_json(summary, indent=2))
+    if result.best_report.failed:
+        print(f"error: no candidate succeeded "
+              f"({result.best_report.diagnostic})", file=sys.stderr)
+        return EXIT_TOOLCHAIN
     if not args.no_validate:
         toolchain = Toolchain(args.cc, args.cc_template)
         if toolchain.available:
@@ -279,7 +285,7 @@ def cmd_corpus(args) -> int:
               "(or pass --no-validate)", file=sys.stderr)
         return EXIT_TOOLCHAIN
     report = []
-    failed = False
+    failures = set()  # the exit code of each way an entry failed
     for name in names:
         entry = {"kernel": name}
         try:
@@ -307,19 +313,20 @@ def cmd_corpus(args) -> int:
                 entry["max_rel_error"] = err
                 entry["validated"] = bool(err < 1e-10)
                 if not entry["validated"]:
-                    failed = True
-        except (KernelSyntaxError, KernelSpecError, TypeCheckError,
-                *FILE_ERRORS) as exc:
+                    failures.add(EXIT_KERNEL)
+        except (KernelSyntaxError, KernelSpecError, TypeCheckError) as exc:
             entry["error"] = str(exc)
-            failed = True
+            failures.add(EXIT_KERNEL)
+        except FILE_ERRORS as exc:
+            entry["error"] = str(exc)
+            failures.add(EXIT_USAGE)
         except ToolchainError as exc:
             entry["error"] = str(exc)
-            failed = True
+            failures.add(EXIT_TOOLCHAIN)
         report.append(entry)
     print(_json(report, indent=2))
-    if failed:
-        return EXIT_KERNEL
-    return 0
+    return next((code for code in (EXIT_USAGE, EXIT_TOOLCHAIN, EXIT_KERNEL)
+                 if code in failures), 0)
 
 
 # ---------------------------------------------------------------------------

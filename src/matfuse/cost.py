@@ -89,7 +89,7 @@ def estimate_cost(org: Organism, graph: DataflowGraph,
         overhead = 0.0
         if isinstance(root, PartitionNode):
             n_partitions += 1
-            eff = float(min(org.threads[root.slot], machine.core_count))
+            eff = float(min(root.threads, machine.core_count))
             overhead = PARTITION_OVERHEAD
         cost = BYTES_PER_SCALAR * (streamed / (eff * BANDWIDTH) + overhead)
         per_root.append(cost)

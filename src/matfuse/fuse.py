@@ -11,10 +11,11 @@ brace notation, one brace per loop with the axis subscripted::
 
 Because fusion is expressed by sharing a tree node, the fusion relation
 is an equivalence relation at every depth by construction, and every
-operation under one partition node shares that node's thread count.
-Those two properties remove the bulk of the illegal points a flat digit
-encoding would generate (digit_space_size computes the size of that
-legacy encoding for comparison).
+operation under one partition node shares the thread count that node
+carries.  Those two properties remove the bulk of the illegal points a
+flat digit encoding would generate (digit_space_size computes the size
+of that legacy encoding for comparison).  An organism's `threads` is
+derived from its forest: the partition roots' counts in root order.
 
 fusion_legal is the only statement of the rules below.  Its first
 phase, shape_diagnostic, is also what parse_notation reports when text
@@ -50,7 +51,7 @@ per-op reachability and operand-sharing bitmasks, convexity of a set S is
 ``down(S) & up(S) & ~S == 0``, sibling order is one AND per pair, and
 the shared-operand rule is a flood fill over bits; the op-by-op walk
 runs only to word the diagnostic of a set that fails.  Apart from
-coverage and slot numbering, every rule above is local to one root:
+coverage, every rule above is local to one root:
 its fused sets, siblings and reduction levels all lie inside it, and
 canonicalize only reorders roots.  So a forest whose roots each pass
 alone is legal exactly when its roots admit a topological order, which
@@ -112,7 +113,7 @@ class LoopNode:
 @dataclass(frozen=True)
 class PartitionNode:
     axis: str
-    slot: int  # index into Organism.threads
+    threads: int  # this data-parallel region's thread count
     children: tuple["IterNode", ...]
     mask: int = field(init=False, repr=False, compare=False)  # ops beneath
 
@@ -122,10 +123,23 @@ class PartitionNode:
 IterNode = OpLeaf | LoopNode | PartitionNode
 
 
+def with_children(node: LoopNode | PartitionNode,
+                  children: tuple[IterNode, ...]) -> LoopNode | PartitionNode:
+    """The node with new children; a partition keeps its count."""
+    if isinstance(node, PartitionNode):
+        return PartitionNode(node.axis, node.threads, children)
+    return LoopNode(node.axis, children)
+
+
 @dataclass(frozen=True)
 class Organism:
     forest: tuple[IterNode, ...]
-    threads: tuple[int, ...]  # one count per partition node, preorder
+
+    @cached_property
+    def threads(self) -> tuple[int, ...]:
+        """The partition roots' thread counts, in root order."""
+        return tuple(r.threads for r in self.forest
+                     if isinstance(r, PartitionNode))
 
     @cached_property
     def key(self) -> str:
@@ -172,7 +186,16 @@ def full_nest(op: OpNode, from_depth: int = 0) -> IterNode:
 
 def initial_forest(graph: DataflowGraph) -> Organism:
     """Fully unfused, unpartitioned organism: one root per operation."""
-    return Organism(tuple(full_nest(op) for op in graph.ops), ())
+    return Organism(tuple(full_nest(op) for op in graph.ops))
+
+
+def with_threads(org: Organism, counts) -> Organism:
+    """The organism with its partition roots' counts replaced by `counts`,
+    in root order."""
+    counts = iter(counts)
+    return Organism(tuple(
+        PartitionNode(r.axis, next(counts), r.children)
+        if isinstance(r, PartitionNode) else r for r in org.forest))
 
 
 # ---------------------------------------------------------------------------
@@ -200,26 +223,15 @@ def _order_children(children: list[IterNode], graph: DataflowGraph) -> list[Iter
 
 
 def canonicalize(org: Organism, graph: DataflowGraph) -> Organism:
-    """Sort siblings canonically and renumber partition slots in preorder.
-
-    Each partition node keeps the count of its old slot (1 if there is
-    none), so slots nothing uses vanish and nodes sharing a slot get one
-    each.
-    """
-    thread_of: dict[int, int] = dict(enumerate(org.threads))
-    new_threads: list[int] = []
-
+    """Sort siblings and roots canonically; counts move with their nodes."""
     def walk(node: IterNode) -> IterNode:
         if isinstance(node, OpLeaf):
             return node
-        children = tuple(walk(c) for c in _order_children(list(node.children), graph))
-        if isinstance(node, PartitionNode):
-            new_threads.append(thread_of.get(node.slot, 1))
-            return PartitionNode(node.axis, len(new_threads) - 1, children)
-        return LoopNode(node.axis, children)
+        return with_children(node, tuple(
+            walk(c) for c in _order_children(list(node.children), graph)))
 
-    roots = tuple(walk(r) for r in _order_children(list(org.forest), graph))
-    return Organism(roots, tuple(new_threads))
+    return Organism(tuple(
+        walk(r) for r in _order_children(list(org.forest), graph)))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +329,7 @@ class _NotationParser:
     def brace(self, depth: int) -> IterNode:
         self.pos += 1
         axis = None
-        slot = None
+        partition = False
         if self.text.startswith("_{", self.pos):
             self.pos += 2
             if not self.text.startswith("p(", self.pos):
@@ -327,12 +339,12 @@ class _NotationParser:
             if not self.text.startswith(")}", self.pos):
                 self.error("expected ')}' after partition axis")
             self.pos += 2
-            slot = self.partitions
+            partition = True
             self.partitions += 1
         elif self.text.startswith("_", self.pos):
             self.pos += 1
             axis = self.name()
-        inner = depth if slot is not None else depth + 1
+        inner = depth if partition else depth + 1
         children = []
         self.skip_ws()
         while not self.text.startswith("}", self.pos):
@@ -341,8 +353,8 @@ class _NotationParser:
             children.append(self.item(inner))
             self.skip_ws()
         self.pos += 1
-        if slot is not None:
-            return PartitionNode(axis, slot, tuple(children))
+        if partition:  # parse_notation sets the count
+            return PartitionNode(axis, 1, tuple(children))
         if axis is None:  # the one axis the ops beneath have at this depth
             ops = LoopNode("", tuple(children)).mask
             found = {labels[depth] for labels in (
@@ -380,7 +392,7 @@ def parse_notation(
     carrying shape_diagnostic's verdict.
     """
     parser = _NotationParser(text, graph)
-    forest = parser.forest()
+    org = Organism(parser.forest())
     n = parser.partitions
     if threads is None:
         threads = (1,) * n
@@ -388,7 +400,7 @@ def parse_notation(
         threads = (threads,) * n
     elif len(threads) != n:
         parser.fail(f"{len(threads)} thread counts for {n} partitions")
-    org = Organism(forest, tuple(threads))
+    org = with_threads(org, threads)
     diag = shape_diagnostic(org, graph)
     if diag is not None:
         parser.fail(str(diag), diag)
@@ -466,10 +478,9 @@ def shape_diagnostic(org: Organism, graph: DataflowGraph,
 
     Every op appears exactly once (at most once under partial=True),
     at a leaf below exactly the loops of its nest, in nest order;
-    partition nodes sit only at roots; no level is empty; partition
-    slots index the thread counts densely and every count is positive.
+    partition nodes sit only at roots; no level is empty; every thread
+    count is positive.
     """
-    slots: list[int] = []
     leaves = 0
 
     def check_node(node: IterNode, loop_path: tuple[str, ...],
@@ -494,7 +505,6 @@ def shape_diagnostic(org: Organism, graph: DataflowGraph,
             if not at_root:
                 return Diagnostic("structure",
                                   "partition nodes appear only at root level")
-            slots.append(node.slot)
         else:
             loop_path += (node.axis,)
         for child in node.children:
@@ -519,8 +529,6 @@ def shape_diagnostic(org: Organism, graph: DataflowGraph,
             f"{'at most' if partial else 'exactly'} once",
             tuple(bits(covered)),
         )
-    if sorted(slots) != list(range(len(org.threads))):
-        return Diagnostic("structure", "partition slots must index threads densely")
     if any(t < 1 for t in org.threads):
         return Diagnostic("structure", "thread counts must be positive")
     return None
@@ -768,7 +776,7 @@ def _root_shapes(ops: list[int], graph: DataflowGraph, limits: Limits):
         for assignment in joint_partitions(ops, graph):
             axis = next(iter(assignment.values())).axis
             for combo in _sibling_tuples(ops, 0, graph):
-                yield PartitionNode(axis, -1, combo)
+                yield PartitionNode(axis, 1, combo)  # enumerate_space sets the count
 
 
 def enumerate_space(graph: DataflowGraph, limits: Limits | None = None):
@@ -791,29 +799,15 @@ def enumerate_space(graph: DataflowGraph, limits: Limits | None = None):
         if any(not opts for opts in shape_options):
             continue
         for combo in itertools.product(*shape_options):
-            forest = _assign_slots(combo)
-            n_parts = sum(1 for node in forest if isinstance(node, PartitionNode))
-            for threads in _thread_tuples(n_parts, limits):
-                org = canonicalize(Organism(forest, threads), graph)
+            shape = Organism(combo)
+            for threads in _thread_tuples(len(shape.threads), limits):
+                org = canonicalize(with_threads(shape, threads), graph)
                 key = canonical_key(org)
                 if key in seen:
                     continue
                 if fusion_legal(org, graph, limits.require_shared_operand) is None:
                     seen.add(key)
                     yield org
-
-
-def _assign_slots(roots) -> tuple[IterNode, ...]:
-    """Renumber partition slots 0..P-1 in preorder (roots are never nested)."""
-    out = []
-    slot = 0
-    for node in roots:
-        if isinstance(node, PartitionNode):
-            out.append(PartitionNode(node.axis, slot, node.children))
-            slot += 1
-        else:
-            out.append(node)
-    return tuple(out)
 
 
 def _thread_tuples(n_partitions: int, limits: Limits):

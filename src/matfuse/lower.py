@@ -22,6 +22,7 @@ or outputs and never changes results; it only relabels storage.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Container
 from dataclasses import dataclass, field, replace
 
@@ -62,7 +63,8 @@ class IRLoop:
 class IRParallel:
     axis: str
     extent: str
-    slot: int  # index into organism threads
+    slot: int  # the region's number in root order, naming its C block
+    threads: int
     body: list
     partials: list[str] = field(default_factory=list)  # result names to join
 
@@ -147,6 +149,8 @@ def lower(org: Organism, graph: DataflowGraph) -> LoopIR:
                 item = IRLoop(lab, extent_of[lab], "init", sliced, [item])
         return item
 
+    regions = itertools.count()
+
     def lower_node(node: IterNode, scope: tuple[str, ...],
                    region: IRParallel | None) -> list:
         if isinstance(node, OpLeaf):
@@ -155,7 +159,8 @@ def lower(org: Organism, graph: DataflowGraph) -> LoopIR:
                 f"no reduction loop for op {node.op_id}"
             return [IRStmt("compute", node.op_id)]
         if isinstance(node, PartitionNode):
-            inner = IRParallel(node.axis, extent_of[node.axis], node.slot, [])
+            inner = IRParallel(node.axis, extent_of[node.axis],
+                               next(regions), node.threads, [])
             for child in node.children:
                 inner.body.extend(lower_node(child, scope, inner))
             return [inner]

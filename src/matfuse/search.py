@@ -11,9 +11,9 @@ driver, run_strategy, runs every strategy; mfga, ga and orthogonal end
 with the thread sweep.
 
 Every organism edit is a forest splice (zero or more nodes in place of
-the node at a path) followed by canonicalize.  A new partition node
-takes the next free slot and its thread count is appended; canonicalize
-renumbers the slots in preorder and drops the ones nothing uses.
+the node at a path) followed by canonicalize.  A partition node carries
+its own thread count, so an edit that moves, splits or merges partitions
+takes their counts along; a thread-count change is with_threads.
 
 Every candidate any strategy evaluates is legality-checked by
 construction: mutation and crossover re-validate and fall back to the
@@ -35,7 +35,8 @@ from .cost import CachedFitness, CostReport, cached
 from .fuse import (
     IterNode, Limits, LoopNode, OpLeaf, Organism, PartitionNode,
     canonical_key, canonicalize, enumerate_partitionings, enumerate_space,
-    full_nest, fusion_legal, initial_forest, joint_partitions,
+    full_nest, fusion_legal, initial_forest, joint_partitions, with_children,
+    with_threads,
 )
 from .graph import DataflowGraph, bits
 
@@ -54,7 +55,6 @@ class SearchConfig:
     thread_mode: str = "global"  # "const" | "global" | "exhaustive"
     core_count: int = 8
     max_ops_exhaustive: int = 4
-    max_random_steps: int | None = None  # None: 10 x the evaluation budget
     require_shared_operand: bool = True  # profitability pruning of fusions
 
     def __post_init__(self):
@@ -105,12 +105,6 @@ class SearchResult:
 # ---------------------------------------------------------------------------
 # Organism surgery (trees are immutable): splice, then canonicalize
 
-def _with_children(node: IterNode, children: tuple[IterNode, ...]) -> IterNode:
-    if isinstance(node, PartitionNode):
-        return PartitionNode(node.axis, node.slot, children)
-    return LoopNode(node.axis, children)
-
-
 def splice(forest: tuple[IterNode, ...], path: tuple[int, ...],
            nodes: tuple[IterNode, ...]) -> tuple[IterNode, ...]:
     """The forest with `nodes` (zero or more) in place of the node at
@@ -120,20 +114,18 @@ def splice(forest: tuple[IterNode, ...], path: tuple[int, ...],
         kids[path[0]:path[0] + 1] = nodes
     else:
         node = kids[path[0]]
-        kids[path[0]] = _with_children(node,
-                                       splice(node.children, path[1:], nodes))
+        kids[path[0]] = with_children(node,
+                                      splice(node.children, path[1:], nodes))
     return tuple(kids)
 
 
-def _edit(org: Organism, graph: DataflowGraph, *splices,
-          new_threads: tuple[int, ...] = ()) -> Organism:
+def _edit(org: Organism, graph: DataflowGraph, *splices) -> Organism:
     """The canonical organism after applying each (path, nodes) splice in
-    turn.  New partition nodes take slots len(org.threads) onward, with
-    counts new_threads."""
+    turn."""
     forest = org.forest
     for path, nodes in splices:
         forest = splice(forest, path, nodes)
-    return canonicalize(Organism(forest, org.threads + new_threads), graph)
+    return canonicalize(Organism(forest), graph)
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +191,8 @@ def max_fuse(graph: DataflowGraph, core_count: int = 8) -> Organism:
         inner_b = rb.children if isinstance(rb, PartitionNode) else (rb,)
         for asg in _choice_order(joint_partitions(group, graph), graph):
             axis = next(iter(asg.values())).axis
-            part = PartitionNode(axis, len(org.threads), inner_a + inner_b)
-            cand = _edit(org, graph, ((ib,), ()), ((ia,), (part,)),
-                         new_threads=(core_count,))
+            part = PartitionNode(axis, core_count, inner_a + inner_b)
+            cand = _edit(org, graph, ((ib,), ()), ((ia,), (part,)))
             if fusion_legal(cand, graph) is None:
                 return _merge_loop_siblings(cand, graph)
         return None
@@ -224,9 +215,8 @@ def max_fuse(graph: DataflowGraph, core_count: int = 8) -> Organism:
         choices = sorted(enumerate_partitionings(op_id, graph),
                          key=lambda c: (c.parallel_reduction, c.axis))
         for choice in choices:
-            part = PartitionNode(choice.axis, len(org.threads), (root,))
-            cand = _edit(org, graph, ((ridx,), (part,)),
-                         new_threads=(core_count,))
+            part = PartitionNode(choice.axis, core_count, (root,))
+            cand = _edit(org, graph, ((ridx,), (part,)))
             if fusion_legal(cand, graph) is None:
                 org = cand
                 break
@@ -260,10 +250,10 @@ def _loop_fusion_sites(org: Organism):
         a, b = roots[ia], roots[ib]
         loops = isinstance(a, LoopNode) and isinstance(b, LoopNode)
         parts = isinstance(a, PartitionNode) and isinstance(b, PartitionNode) \
-            and org.threads[a.slot] == org.threads[b.slot]
+            and a.threads == b.threads
         if (loops or parts) and a.axis == b.axis:
             sites.append(("roots", ia, ib,
-                          _with_children(a, a.children + b.children)))
+                          with_children(a, a.children + b.children)))
     for path, node in _inner_nodes(org):
         for ia, ib in _loop_pairs(node.children):
             sites.append(("siblings", path, node, ia, ib))
@@ -288,11 +278,9 @@ def _split_sites(org: Organism):
 
 
 def _apply_split(org, graph, site) -> Organism:
-    # a split partition's halves share its slot until canonicalize gives
-    # each its own, with the same count
     path, node, pos = site
-    halves = (_with_children(node, node.children[:pos]),
-              _with_children(node, node.children[pos:]))
+    halves = (with_children(node, node.children[:pos]),
+              with_children(node, node.children[pos:]))
     return _edit(org, graph, (path, halves))
 
 
@@ -332,9 +320,8 @@ def mutate(org: Organism, graph: DataflowGraph, rng: random.Random,
                     asg = assignments[rng.randrange(len(assignments))]
                     axis = next(iter(asg.values())).axis
                     t = org.threads[0] if org.threads else cfg.core_count
-                    part = PartitionNode(axis, len(org.threads), (root,))
-                    cand = _edit(org, graph, ((ridx,), (part,)),
-                                 new_threads=(t,))
+                    part = PartitionNode(axis, t, (root,))
+                    cand = _edit(org, graph, ((ridx,), (part,)))
         else:
             parts = [i for i, r in enumerate(org.forest)
                      if isinstance(r, PartitionNode)]
@@ -352,21 +339,20 @@ def mutate(org: Organism, graph: DataflowGraph, rng: random.Random,
             axes = [a for a in axes if a != root.axis]
             if axes:
                 axis = axes[rng.randrange(len(axes))]
-                part = PartitionNode(axis, root.slot, root.children)
+                part = PartitionNode(axis, root.threads, root.children)
                 cand = _edit(org, graph, ((ridx,), (part,)))
     else:  # thread count
         if org.threads and cfg.thread_mode != "const":
             delta = 2 if rng.random() < 0.5 else -2
             lo, hi = 2, max(2, cfg.core_count)
+            counts = list(org.threads)
             if cfg.thread_mode == "global":
-                t = min(max(org.threads[0] + delta, lo), hi)
-                cand = Organism(org.forest, (t,) * len(org.threads))
+                t = min(max(counts[0] + delta, lo), hi)
+                counts = [t] * len(counts)
             else:
-                slot = rng.randrange(len(org.threads))
-                t = min(max(org.threads[slot] + delta, lo), hi)
-                tup = list(org.threads)
-                tup[slot] = t
-                cand = Organism(org.forest, tuple(tup))
+                i = rng.randrange(len(counts))
+                counts[i] = min(max(counts[i] + delta, lo), hi)
+            cand = with_threads(org, counts)
     if cand is None:
         return org
     if fusion_legal(cand, graph, cfg.require_shared_operand) is not None:
@@ -387,55 +373,12 @@ def random_organism(graph: DataflowGraph, rng: random.Random,
 # ---------------------------------------------------------------------------
 # Crossover
 
-def _partition_info(org: Organism, op_id: int) -> tuple[str, int] | None:
-    """(axis, thread count) of the partition over an op, or None."""
+def _partition_info(org: Organism, op_id: int) -> PartitionNode | None:
+    """The partition root over an op, or None."""
     for root in org.forest:
         if root.mask >> op_id & 1:
-            if isinstance(root, PartitionNode):
-                return root.axis, org.threads[root.slot]
-            return None
+            return root if isinstance(root, PartitionNode) else None
     return None
-
-
-class _MRoot:
-    """Mutable root while a child organism grows: optional partition plus a
-    sibling list of frozen loop subtrees."""
-
-    __slots__ = ("partition", "trees")
-
-    def __init__(self, partition: tuple[str, int] | None,
-                 trees: list[IterNode]):
-        self.partition = partition  # (axis, threads) or None
-        self.trees = trees
-
-    def clone(self) -> "_MRoot":
-        return _MRoot(self.partition, list(self.trees))
-
-    def mask(self) -> int:
-        out = 0
-        for t in self.trees:
-            out |= t.mask
-        return out
-
-    def pairs(self) -> list[tuple[IterNode, int | None]]:
-        if self.partition is not None:
-            axis, t = self.partition
-            return [(PartitionNode(axis, 0, tuple(self.trees)), t)]
-        # bare roots hold exactly one tree; siblings become roots
-        return [(tree, None) for tree in self.trees]
-
-
-def _materialize(roots: list[_MRoot], graph: DataflowGraph) -> Organism:
-    """The canonical organism of the growing roots; each partition node
-    takes the next slot and its count is appended."""
-    forest: list[IterNode] = []
-    threads: list[int] = []
-    for node, t in (p for r in roots for p in r.pairs()):
-        if t is not None:
-            node = PartitionNode(node.axis, len(threads), node.children)
-            threads.append(t)
-        forest.append(node)
-    return canonicalize(Organism(tuple(forest), tuple(threads)), graph)
 
 
 def _roots_ordered(masks: list[int], graph: DataflowGraph) -> bool:
@@ -451,20 +394,20 @@ def _roots_ordered(masks: list[int], graph: DataflowGraph) -> bool:
     return True
 
 
-def _placement_legal(roots: list[_MRoot], changed: int,
+def _placement_legal(roots: list[IterNode], changed: int,
                      graph: DataflowGraph) -> bool:
     """Whether a growing child stays legal after roots[changed] took an op.
 
     Checks that root alone, then that all roots can be ordered.  This
-    equals fusion_legal(_materialize(roots), graph, partial=True) when
-    every other root passed it before: the fused-set, sibling-order and
-    reduction rules never span two roots, canonicalize only reorders
-    roots, and coverage and dense slots hold by construction.
+    equals fusion_legal(canonicalize(Organism(roots)), graph, partial=True)
+    when every other root passed it before: the fused-set, sibling-order
+    and reduction rules never span two roots, canonicalize only reorders
+    roots, and coverage holds by construction.
     """
-    alone = _materialize([roots[changed]], graph)
+    alone = canonicalize(Organism((roots[changed],)), graph)
     if fusion_legal(alone, graph, partial=True) is not None:
         return False
-    return _roots_ordered([r.mask() for r in roots], graph)
+    return _roots_ordered([r.mask for r in roots], graph)
 
 
 def _level_masks(org: Organism) -> list[dict[int, int]]:
@@ -536,36 +479,39 @@ def crossover(parent_a: Organism, parent_b: Organism,
             return 0
         return levels[which][level].get(op_id, 0) & ~(1 << op_id)
 
-    roots: list[_MRoot] = []
+    roots: list[IterNode] = []  # a partition, or one bare loop tree
 
-    def attempt(op_id: int, which: int) -> list[_MRoot] | None:
+    def attempt(op_id: int, which: int) -> list[IterNode] | None:
         present = 0
         for r in roots:
-            present |= r.mask()
+            present |= r.mask
         mates0 = mates_at(which, 0, op_id) & present
         coin = lambda: rng.randrange(2)
         if not mates0:
             idx = len(roots)
-            target = _MRoot(_partition_info(parents[which], op_id),
-                            [full_nest(graph.op(op_id))])
+            target = full_nest(graph.op(op_id))
+            part = _partition_info(parents[which], op_id)
+            if part is not None:
+                target = with_children(part, (target,))
         else:
             pick = mates0 & -mates0  # the lowest mate op
-            idx = next(k for k, r in enumerate(roots) if r.mask() & pick)
-            target = roots[idx].clone()
-            placed = False
+            idx = next(k for k, r in enumerate(roots) if r.mask & pick)
+            root = roots[idx]
+            partitioned = isinstance(root, PartitionNode)
+            trees = root.children if partitioned else (root,)
             mates1 = mates_at(coin(), 1, op_id)
-            for k, tree in enumerate(target.trees):
-                if isinstance(tree, LoopNode) and tree.mask & mates1:
-                    new_tree = _insert_into_tree(
-                        tree, op_id, 0, graph, mates_at, coin)
-                    if new_tree is not None:
-                        target.trees[k] = new_tree
-                        placed = True
-                    break
-            if not placed:
-                if target.partition is None:
-                    return None  # bare root cannot hold unfused siblings
-                target.trees.append(full_nest(graph.op(op_id)))
+            k = next((k for k, tree in enumerate(trees)
+                      if isinstance(tree, LoopNode) and tree.mask & mates1),
+                     None)
+            new_tree = None if k is None else _insert_into_tree(
+                trees[k], op_id, 0, graph, mates_at, coin)
+            if new_tree is not None:
+                trees = trees[:k] + (new_tree,) + trees[k + 1:]
+            elif partitioned:
+                trees += (full_nest(graph.op(op_id)),)
+            else:
+                return None  # bare root cannot hold unfused siblings
+            target = with_children(root, trees) if partitioned else trees[0]
         trial = roots[:idx] + [target] + roots[idx + 1:]
         return trial if _placement_legal(trial, idx, graph) else None
 
@@ -573,11 +519,11 @@ def crossover(parent_a: Organism, parent_b: Organism,
         first = rng.randrange(2)
         placed = attempt(op_id, first) or attempt(op_id, 1 - first)
         if placed is None:
-            roots.append(_MRoot(None, [full_nest(graph.op(op_id))]))
+            roots.append(full_nest(graph.op(op_id)))
         else:
             roots = placed
 
-    child = _materialize(roots, graph)
+    child = canonicalize(Organism(tuple(roots)), graph)
     if fusion_legal(child, graph) is not None:
         return parent_a  # cannot happen by construction; stay safe
     return child
@@ -611,11 +557,11 @@ def thread_sweep(org: Organism, evaluate, core_count: int,
     if per_partition:
         candidates = []
         for combo in itertools.product(counts, repeat=len(org.threads)):
-            candidates.append(Organism(org.forest, combo))
+            candidates.append(with_threads(org, combo))
             if budget is not None and len(candidates) >= budget:
                 break
     else:
-        candidates = [Organism(org.forest, (t,) * len(org.threads))
+        candidates = [with_threads(org, (t,) * len(org.threads))
                       for t in counts]
     best = org
     best_score = evaluate(org).total, canonical_key(org)
@@ -734,9 +680,8 @@ def run_strategy(strategy: str, graph: DataflowGraph, cfg: SearchConfig,
             ev(org)
             budget = cfg.budget if cfg.budget is not None else \
                 cfg.generations * cfg.population
-            steps = cfg.max_random_steps if cfg.max_random_steps is not None \
-                else 10 * budget
-            for _ in range(steps):
+            # a small kernel's legal space may be smaller than the budget
+            for _ in range(10 * budget):
                 if ev.fitness.misses >= budget + 1:
                     break
                 org = mutate(org, graph, rng, cfg)

@@ -148,7 +148,7 @@ class TestSearch:
             "--cc-template", "{cc} {src} -o {bin}", "--no-validate",
             "--out-dir", str(outdir),
         )
-        assert code == 0
+        assert code == 3
         summary = strict_json((outdir / "summary.json").read_text())
         assert summary["fitness"] is None
         assert strict_json(stdout) == summary
@@ -222,6 +222,20 @@ class TestCorpus:
                               str(tmp_path), "--no-validate")
         assert code == 1
         assert "no kernels found" in stderr
+
+    @pytest.mark.parametrize("source, flags, want", [
+        (b"VADD \xff\xfe", ["--no-validate"], 1),
+        (kernel_path("vadd").read_bytes(),
+         ["--cc", "false", "--cc-template", "{cc} {src} -o {bin}"], 3),
+        (b"VADD {", ["--no-validate"], 2),
+    ], ids=["not-utf8", "toolchain", "kernel"])
+    def test_exit_code_names_the_failure(self, source, flags, want, tmp_path,
+                                         capsys):
+        (tmp_path / "k.bto").write_bytes(source)
+        code, stdout, _ = run(capsys, "corpus", "--corpus-dir",
+                              str(tmp_path), "--kernel", "k", *flags)
+        assert code == want
+        assert strict_json(stdout)[0]["error"]
 
 
 def test_validation_leaves_no_temp_dirs(tmp_path, capsys, monkeypatch,

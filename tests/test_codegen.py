@@ -93,7 +93,7 @@ class TestLowering:
 
     def test_reduction_outside_its_loop_fails_loudly(self, batax):
         # every op as a bare leaf: no reduction op sits under its loop
-        org = Organism(tuple(OpLeaf(i) for i in batax.op_ids()), ())
+        org = Organism(tuple(OpLeaf(i) for i in batax.op_ids()))
         with pytest.raises(AssertionError, match="no reduction loop"):
             lower(org, batax)
 
@@ -234,9 +234,9 @@ class TestJointPartitionCorrectness:
         for asg in assignments:
             axis = next(iter(asg.values())).axis
             trees = tuple(full_nest(graph.op(i)) for i in sorted(op_ids))
-            forest = [PartitionNode(axis, 0, trees)]
+            forest = [PartitionNode(axis, 3, trees)]
             forest += [full_nest(graph.op(i)) for i in rest]
-            org = canonicalize(Organism(tuple(forest), (3,)), graph)
+            org = canonicalize(Organism(tuple(forest)), graph)
             assert fusion_legal(org, graph) is None
             check_against_reference(graph, org, extents, toolchain, seed=4)
 

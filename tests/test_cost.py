@@ -7,7 +7,7 @@ import pytest
 from matfuse.cost import (
     EmpiricalTimer, MachineModel, cached, estimate_cost, measure_empirical,
 )
-from matfuse.fuse import Organism, parse_notation, initial_forest
+from matfuse.fuse import Organism, parse_notation, initial_forest, with_threads
 from matfuse.runtime import max_rel_error
 from matfuse.search import max_fuse
 
@@ -50,7 +50,7 @@ class TestAnalytic:
         assert fused.total < unfused.total
 
     def test_empty_kernel_costs_nothing(self, batax):
-        report = estimate_cost(Organism((), ()), batax, MACHINE)
+        report = estimate_cost(Organism(()), batax, MACHINE)
         assert report.total == 0.0
 
     def test_vadd_four_threads_beat_one(self, corpus_graphs):
@@ -82,7 +82,7 @@ class TestAnalytic:
     def test_thread_counts_above_cores_do_not_help(self, batax):
         org = max_fuse(batax, 8)
         at_cores = estimate_cost(org, batax, MACHINE).total
-        over = Organism(org.forest, tuple(64 for _ in org.threads))
+        over = with_threads(org, tuple(64 for _ in org.threads))
         assert estimate_cost(over, batax, MACHINE).total == at_cores
 
     def test_adding_contracting_fusion_never_costs_more(self, batax,
@@ -151,7 +151,7 @@ class TestCaching:
         fn = cached(self.CountingFitness(batax))
         org = max_fuse(batax, 8)
         fn(org)
-        fn(Organism(org.forest, tuple(4 for _ in org.threads)))
+        fn(with_threads(org, tuple(4 for _ in org.threads)))
         assert fn.fn.calls == 2
 
 

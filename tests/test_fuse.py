@@ -69,6 +69,22 @@ class TestNotation:
                                threads=org.threads)
         assert again == org
 
+    def test_counts_follow_their_nodes(self, batax):
+        # canonical form puts the p(i) root first; each count goes with it
+        org = parse_notation("{_{p(j)}{_j 3}}{_{p(i)}{_i{_j 1}{_j 2}}}",
+                             batax, threads=(6, 4))
+        assert canonical_key(org) == \
+            "{_{p(i)}{_i{_j 1}{_j 2}}}{_{p(j)}{_j 3}};t=4,6"
+
+    def test_split_partition_halves_keep_its_count(self, batax):
+        from matfuse import search
+
+        org = parse_notation("{_{p(i)}{_i{_j 1}}{_i{_j 2}}}{_{p(j)}{_j 3}}",
+                             batax, threads=(6, 4))
+        split = search._apply_split(org, batax, ((0,), org.forest[0], 1))
+        assert canonical_key(split) == \
+            "{_{p(i)}{_i{_j 1}}}{_{p(i)}{_i{_j 2}}}{_{p(j)}{_j 3}};t=6,6,4"
+
     def test_bracket_mismatch(self, batax):
         with pytest.raises(NotationError, match="unbalanced|unexpected"):
             parse_notation("{_i{_j 1}", batax)
@@ -104,7 +120,7 @@ class TestNotation:
         with pytest.raises(NotationError) as info:
             parse_notation("{_i 1}{_i{_j 2}}{_j 3}", batax)
         shallow = Organism((LoopNode("i", (OpLeaf(1),)),
-                            full_nest(batax.op(2)), full_nest(batax.op(3))), ())
+                            full_nest(batax.op(2)), full_nest(batax.op(3))))
         assert info.value.diagnostic == fusion_legal(shallow, batax)
         assert info.value.diagnostic.rule == "structure"
 
@@ -181,11 +197,11 @@ class TestPartitioning:
             axes = sorted({a for op in g.ops for a in op.nest.labels()})
 
             def passes(subset, axis):
-                part = PartitionNode(axis, 0, tuple(
+                part = PartitionNode(axis, 2, tuple(
                     full_nest(g.op(i)) for i in subset))
                 rest = tuple(full_nest(g.op(i)) for i in ids
                              if i not in subset)
-                org = canonicalize(Organism((part,) + rest, (2,)), g)
+                org = canonicalize(Organism((part,) + rest), g)
                 return fusion_legal(org, g, require_shared_operand=False) \
                     is None
 
@@ -249,7 +265,7 @@ class TestLegality:
 
         backwards = Organism(
             (full_nest(batax.op(2)), full_nest(batax.op(1)),
-             full_nest(batax.op(3))), ()
+             full_nest(batax.op(3)))
         )
         diag = fusion_legal(backwards, batax)
         assert diag is not None and diag.rule == "order"
@@ -259,7 +275,7 @@ class TestLegality:
 
         shallow = Organism(
             (LoopNode("i", (OpLeaf(1),)), full_nest(batax.op(2)),
-             full_nest(batax.op(3))), ()
+             full_nest(batax.op(3)))
         )
         diag = fusion_legal(shallow, batax)
         assert diag is not None and diag.rule == "structure"
@@ -384,8 +400,9 @@ class TestClosureByConstruction:
                                                    thread_mode="exhaustive"))
         from matfuse.fuse import PartitionNode
 
-        slots = [r.slot for r in org.forest if isinstance(r, PartitionNode)]
-        assert sorted(slots) == list(range(len(org.threads)))
+        counts = [r.threads for r in org.forest if isinstance(r, PartitionNode)]
+        assert tuple(counts) == org.threads
+        assert all(t >= 1 for t in counts)
 
 
 def test_thousand_random_organisms_format_canonically(all_graphs):

@@ -19,8 +19,8 @@ from matfuse.cemit import emit_c
 from matfuse.corpus import SMALL_KERNELS, available, load_graph
 from matfuse.cost import AnalyticCost, MachineModel, cached
 from matfuse.fuse import (
-    Limits, LoopNode, OpLeaf, canonical_key, enumerate_space, fusion_legal,
-    initial_forest,
+    Limits, LoopNode, OpLeaf, Organism, canonical_key, canonicalize,
+    enumerate_space, fusion_legal, initial_forest,
 )
 from matfuse.graph import build_dataflow, infer_types
 from matfuse.lang import parse_kernel
@@ -48,9 +48,9 @@ def test_root_local_check_equals_full_check(monkeypatch):
 
     def both(roots, changed, graph):
         got = full_check(roots, changed, graph)
-        want = fusion_legal(search._materialize(roots, graph), graph,
-                            partial=True) is None
-        assert got == want, [r.pairs() for r in roots]
+        want = fusion_legal(canonicalize(Organism(tuple(roots)), graph),
+                            graph, partial=True) is None
+        assert got == want, roots
         verdicts.append(got)
         return got
 
@@ -76,12 +76,13 @@ def test_roots_legal_alone_but_cyclic_are_rejected():
         "c : vector(column), d : vector(column) "
         "out: u : vector(column), w : vector(column) "
         "{ t = a + b  u = t + c  v = c + d  w = v + a }")))
-    roots = [search._MRoot(None, [LoopNode("k", (OpLeaf(1), OpLeaf(4)))]),
-             search._MRoot(None, [LoopNode("k", (OpLeaf(2), OpLeaf(3)))])]
+    roots = [LoopNode("k", (OpLeaf(1), OpLeaf(4))),
+             LoopNode("k", (OpLeaf(2), OpLeaf(3)))]
     for r in roots:
-        assert fusion_legal(search._materialize([r], g), g,
+        assert fusion_legal(canonicalize(Organism((r,)), g), g,
                             partial=True) is None
-    diag = fusion_legal(search._materialize(roots, g), g, partial=True)
+    diag = fusion_legal(canonicalize(Organism(tuple(roots)), g), g,
+                        partial=True)
     assert diag is not None and diag.rule == "order"
     assert not search._placement_legal(roots, 0, g)
 
@@ -94,7 +95,7 @@ def search_log_digest() -> str:
         for strategy in ("mfga", "ga", "random"):
             for seed in (0, 1):
                 cfg = SearchConfig(seed=seed, population=10, generations=8,
-                                   budget=80, max_random_steps=800)
+                                   budget=80)
                 fitness = cached(AnalyticCost(
                     g, MachineModel(core_count=8, extents=extents)))
                 res = run_strategy(strategy, g, cfg, fitness)
