@@ -294,6 +294,11 @@ def emit_c(ir: LoopIR, extents: dict[str, int] | None = None) -> GeneratedKernel
 
 
 def _emit_main(w: _Writer, ir: LoopIR, kname: str, extents: dict[str, int]):
+    """main(argc, argv): `<extents> <reps>` times the kernel on LCG-filled
+    inputs and prints the seconds and checksum lines; `<extents> <reps>
+    <inputs> <outputs>` reads the inputs as raw doubles in signature order,
+    fills the outputs with NaN, calls the kernel once and writes the
+    outputs as raw doubles (exit 2 when a file fails)."""
     graph = ir.graph
     spec = graph.spec
     names = graph.extent_names
@@ -305,8 +310,10 @@ def _emit_main(w: _Writer, ir: LoopIR, kname: str, extents: dict[str, int]):
         taken.add(name)
         return name
 
-    rng_state, rnd, now, argc, argv, reps, q, best, r, t0, dt, checksum = map(
-        local, ("rng_state_", "rnd_", "now_", "argc", "argv", "reps", "q",
+    (rng_state, rnd, now, fill, to, count, source, argc, argv, reps, q, src,
+     dst, nan, best, r, t0, dt, checksum) = map(
+        local, ("rng_state_", "rnd_", "now_", "fill_", "to", "count",
+                "source", "argc", "argv", "reps", "q", "src", "dst", "nan_",
                 "best", "r", "t0", "dt", "checksum"))
     w.put("#ifndef MATFUSE_NO_MAIN")
     w.put(f"static unsigned long long {rng_state} = 88172645463325252ULL;")
@@ -320,25 +327,36 @@ def _emit_main(w: _Writer, ir: LoopIR, kname: str, extents: dict[str, int]):
     w.put("clock_gettime(CLOCK_MONOTONIC, &ts);")
     w.put("return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;")
     w.close()
+    w.open(f"static void {fill}(double *{to}, size_t {count}, FILE *{source})")
+    w.open(f"if ({source})")
+    w.put(f"if (fread({to}, sizeof(double), {count}, {source}) != {count}) "
+          "exit(2);")
+    w.put("return;")
+    w.close()
+    w.open(f"for (size_t {q} = 0; {q} < {count}; ++{q})")
+    w.put(f"{to}[{q}] = {rnd}();")
+    w.close()
+    w.close()
     w.open(f"int main(int {argc}, char **{argv})")
     for pos, ext in enumerate(names):
         w.put(f"long {ext} = {argc} > {pos + 1} ? atol({argv}[{pos + 1}]) : "
               f"{extents[ext]};")
-    w.put(f"long {reps} = {argc} > {len(names) + 1} ? "
-          f"atol({argv}[{len(names) + 1}]) : 5;")
+    at = len(names) + 1  # argv index of reps; the file paths follow it
+    w.put(f"long {reps} = {argc} > {at} ? atol({argv}[{at}]) : 5;")
+    w.put(f"FILE *{src} = {argc} > {at + 2} ? fopen({argv}[{at + 1}], \"rb\") "
+          ": NULL;")
+    w.put(f"if ({argc} > {at + 2} && !{src}) return 2;")
     args = []
     for name, decl in spec.inputs:
         s = ir.storage[name]
         if decl.kind == "scalar":
-            w.put(f"double {name} = {rnd}();")
-            args.append(name)
+            w.put(f"double {name};")
+            w.put(f"{fill}(&{name}, 1, {src});")
         else:
             w.put(f"double *{name} = (double *)malloc(sizeof(double) * "
                   f"{_elements(s)});")
-            w.open(f"for (size_t {q} = 0; {q} < {_elements(s)}; ++{q})")
-            w.put(f"{name}[{q}] = {rnd}();")
-            w.close()
-            args.append(name)
+            w.put(f"{fill}({name}, {_elements(s)}, {src});")
+        args.append(name)
     for name, decl in spec.outputs:
         s = ir.storage[name]
         if decl.kind == "scalar":
@@ -349,6 +367,26 @@ def _emit_main(w: _Writer, ir: LoopIR, kname: str, extents: dict[str, int]):
                   "sizeof(double));")
             args.append(name)
     call = f"{kname}({', '.join(args + list(names))});"
+    w.open(f"if ({src})")
+    w.put(f"fclose({src});")
+    w.put(f"double {nan} = strtod(\"nan\", NULL);")
+    for name, decl in spec.outputs:
+        if decl.kind == "scalar":
+            w.put(f"{name} = {nan};")
+        else:
+            s = ir.storage[name]
+            w.open(f"for (size_t {q} = 0; {q} < {_elements(s)}; ++{q})")
+            w.put(f"{name}[{q}] = {nan};")
+            w.close()
+    w.put(call)
+    w.put(f"FILE *{dst} = fopen({argv}[{at + 2}], \"wb\");")
+    w.put(f"if (!{dst}) return 2;")
+    for name, decl in spec.outputs:
+        ptr = f"&{name}" if decl.kind == "scalar" else name
+        w.put(f"fwrite({ptr}, sizeof(double), {_elements(ir.storage[name])}, "
+              f"{dst});")
+    w.put(f"return fclose({dst}) == 0 ? 0 : 2;")
+    w.close()
     w.put(call + " /* warm-up, untimed */")
     w.put(f"double {best} = 1e300;")
     w.open(f"for (long {r} = 0; {r} < {reps}; ++{r})")

@@ -20,6 +20,7 @@ import json
 import logging
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -123,6 +124,14 @@ def _emit(org, graph, extents):
     return emit_c(contract_arrays(lower(org, graph)), extents)
 
 
+def _validate(kernel, graph, extents, toolchain) -> float:
+    """Build `kernel` once in a temporary directory and run that binary in
+    validation mode at `extents`."""
+    with tempfile.TemporaryDirectory(prefix="matfuse-") as wd:
+        binary = toolchain.compile(kernel.source, wd)
+        return validation_error(binary, graph, extents, seed=11)
+
+
 # ---------------------------------------------------------------------------
 # compile
 
@@ -155,7 +164,7 @@ def cmd_compile(args) -> int:
             print("error: validation needs a C compiler (or --no-validate)",
                   file=sys.stderr)
             return EXIT_TOOLCHAIN
-        err = validation_error(kernel, graph, extents, toolchain, seed=11)
+        err = _validate(kernel, graph, extents, toolchain)
         print(f"validated against reference: max relative error {err:.3e}")
         if not err < 1e-10:
             print("error: kernel output mismatch", file=sys.stderr)
@@ -227,8 +236,7 @@ def cmd_search(args) -> int:
     if not args.no_validate:
         toolchain = Toolchain(args.cc, args.cc_template)
         if toolchain.available:
-            err = validation_error(kernel, graph, extents, toolchain,
-                                   seed=11)
+            err = _validate(kernel, graph, extents, toolchain)
             print(f"validated best kernel: max relative error {err:.3e}")
             if not err < 1e-10:
                 return EXIT_KERNEL
@@ -308,8 +316,8 @@ def cmd_corpus(args) -> int:
             )
             if not args.no_validate:
                 extents = _bind_extents(args.extents, graph)
-                err = validation_error(_emit(org, graph, extents), graph,
-                                       extents, toolchain, seed=11)
+                err = _validate(_emit(org, graph, extents), graph, extents,
+                                toolchain)
                 entry["max_rel_error"] = err
                 entry["validated"] = bool(err < 1e-10)
                 if not entry["validated"]:

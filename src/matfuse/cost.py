@@ -10,10 +10,12 @@ give bitwise-equal reports.  It knows nothing about caches or
 vectorization; it exists to rank fusion/contraction/threading choices
 deterministically and cheaply.
 
-The empirical timer compiles the generated C and runs it, but only after
-validating the kernel against the reference evaluator at extents
-min(64, extent): a wrong-answer candidate never receives a finite
-fitness.
+The empirical timer builds each candidate once, as a standalone binary,
+validates that binary against the reference evaluator at extents
+min(64, extent), and only then times it: a wrong-answer candidate never
+receives a finite fitness.  Both runs are child processes with a
+timeout, so a candidate that crashes or hangs costs one +inf fitness
+with a diagnostic and never ends or stalls the search.
 """
 
 from __future__ import annotations
@@ -117,9 +119,9 @@ class EmpiricalTimer:
     """Fitness that compiles and times generated C through the toolchain.
 
     Candidates are validated against the reference evaluator first;
-    compile failures, crashes and numerical mismatches all map to +inf
-    fitness with distinct diagnostics.  Evaluations are serialized: one
-    candidate process at a time.
+    compile failures, crashes, timeouts and numerical mismatches all map
+    to +inf fitness with distinct diagnostics.  Evaluations are
+    serialized: one candidate process at a time.
     """
 
     def __init__(self, graph: DataflowGraph, toolchain=None,
@@ -143,8 +145,8 @@ class EmpiricalTimer:
 def measure_empirical(org: Organism, graph: DataflowGraph, toolchain,
                       extents: dict[str, int], reps: int = 5,
                       source_filter=None) -> CostReport:
-    """Validate at extents min(64, extent), then compile and time at
-    `extents`; +inf on any failure."""
+    """Compile once, validate that binary at extents min(64, extent), then
+    time it at `extents`; +inf with a diagnostic on any failure."""
     from . import runtime
     from .cemit import emit_c
     from .lower import contract_arrays, lower
@@ -161,23 +163,16 @@ def measure_empirical(org: Organism, graph: DataflowGraph, toolchain,
         kernel = replace(kernel, source=source_filter(kernel.source))
     small = {n: min(64, extents[n]) for n in graph.extent_names}
     try:
-        err = runtime.validation_error(kernel, graph, small, toolchain, seed=7)
-    except runtime.ToolchainError as exc:
-        return failure("compile-failure", str(exc))
-    except Exception as exc:  # a ctypes error; a segfault ends the process
-        return failure("runtime-crash", repr(exc))
-    if not err < 1e-10:
-        return failure("numerical-mismatch", f"max relative error {err:.3e}")
-    with tempfile.TemporaryDirectory(prefix="matfuse-") as wd:
-        try:
-            binary = toolchain.compile(kernel.source, wd, name="kernel_main")
-        except runtime.ToolchainError as exc:
-            return failure("compile-failure", str(exc))
-        try:
+        with tempfile.TemporaryDirectory(prefix="matfuse-") as wd:
+            binary = toolchain.compile(kernel.source, wd)
+            err = runtime.validation_error(binary, graph, small, seed=7)
+            if not err < 1e-10:
+                return failure("numerical-mismatch",
+                               f"max relative error {err:.3e}")
             seconds = runtime.time_binary(binary, extents, graph.extent_names,
                                           reps)
-        except runtime.ToolchainError as exc:
-            return failure("runtime-crash", str(exc))
+    except runtime.ToolchainError as exc:
+        return failure(exc.kind, str(exc))
     return CostReport(total=seconds, source="empirical")
 
 

@@ -1,20 +1,35 @@
-"""Compile and run generated kernels: toolchain config, ctypes loading.
+"""Compile and run generated kernels, each in a child process.
 
 The toolchain is a command template with {cc}, {src} and {bin} holes,
 overridable via the MATFUSE_CC and MATFUSE_CC_TEMPLATE environment
-variables.  Validation builds a shared object (main compiled out) and
-calls the kernel through ctypes on numpy buffers; timing builds the
-standalone binary and parses the "seconds <float>" line it prints.
+variables.  A candidate is built once, as the standalone binary whose
+main cemit emits, and that one binary is both validated and timed:
+
+- validation (`validation_error`): `binary <extents> <reps> <in> <out>`
+  reads the inputs as raw doubles in signature order from `in`, calls
+  the kernel once on NaN-filled outputs and writes them to `out`;
+- timing (`time_binary`): `binary <extents> <reps>` fills the inputs
+  from a fixed LCG and prints "seconds <float>" and "checksum <float>".
+
+Every compile and every run is a child in its own process group with a
+timeout (COMPILE_TIMEOUT_S, RUN_TIMEOUT_S).  A candidate that fails to
+compile, crashes or hangs therefore raises ToolchainError, whose `kind`
+names the failure, and cannot kill or stall its caller; a hung child is
+killed with its whole group.  `run_kernel` still calls a shared object
+(main compiled out) in-process through ctypes, for tests and the
+benchmark's own checks.
 """
 
 from __future__ import annotations
 
 import atexit
+import contextlib
 import ctypes
 import math
 import os
 import shlex
 import shutil
+import signal
 import subprocess
 import tempfile
 from dataclasses import dataclass
@@ -27,10 +42,60 @@ from .cemit import GeneratedKernel
 from .graph import DataflowGraph
 
 DEFAULT_TEMPLATE = "{cc} -O3 -fopenmp {src} -o {bin}"
+COMPILE_TIMEOUT_S = 120.0  # one compiler run; these kernels take well under 1 s
+RUN_TIMEOUT_S = 120.0  # one validation or timing run of a kernel binary
 
 
 class ToolchainError(RuntimeError):
-    pass
+    """A failed compile or kernel run.  `kind` names the failure:
+    "compile-failure", "runtime-crash" (a non-zero or signal exit) or
+    "timeout"."""
+
+    def __init__(self, kind: str, message: str):
+        super().__init__(message)
+        self.kind = kind
+
+
+def _run(argv: list[str], timeout: float, kind: str, what: str) -> str:
+    """Run `argv` as a child in a new process group and return its stdout.
+
+    A child that cannot start or that exits non-zero or by a signal raises
+    ToolchainError(kind).  One still running after `timeout` seconds is
+    killed together with its group (a compiler's own children too) and
+    raises ToolchainError("timeout").
+    """
+    shown = " ".join(argv)
+    try:
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True,
+                                errors="replace", start_new_session=True)
+    except OSError as exc:
+        raise ToolchainError(kind, f"{what} could not start: {exc}") from None
+    with proc:
+        try:
+            out, err = proc.communicate(timeout=timeout)
+        except BaseException as exc:  # the timeout, or an interrupt
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            if isinstance(exc, subprocess.TimeoutExpired):
+                raise ToolchainError(
+                    "timeout", f"{what} timed out after {timeout:g} s: {shown}"
+                ) from None
+            raise
+    code = proc.returncode
+    if code != 0:
+        try:
+            status = f"exit status {code}" if code > 0 \
+                else f"signal {signal.Signals(-code).name}"
+        except ValueError:  # a signal without a name (a real-time one)
+            status = f"signal {-code}"
+        detail = err.strip()
+        raise ToolchainError(
+            kind, f"{what} failed ({status}): {shown}"
+            + (f":\n{detail}" if detail else "")
+        )
+    return out
 
 
 def find_cc() -> str | None:
@@ -63,7 +128,8 @@ class Toolchain:
                 extra: tuple[str, ...] = ()) -> list[str]:
         if not self.available:
             raise ToolchainError(
-                "no C compiler found (set MATFUSE_CC or install cc/gcc)"
+                "compile-failure",
+                "no C compiler found (set MATFUSE_CC or install cc/gcc)",
             )
         words = shlex.split(
             self.template.format(cc=self.cc, src=src, bin=binary)
@@ -77,12 +143,8 @@ class Toolchain:
         src.write_text(source)
         binary = workdir / (f"{name}.so" if shared else name)
         extra = ("-shared", "-fPIC", "-DMATFUSE_NO_MAIN") if shared else ()
-        cmd = self.command(str(src), str(binary), extra)
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise ToolchainError(
-                f"compile failed ({' '.join(cmd)}):\n{proc.stderr.strip()}"
-            )
+        _run(self.command(str(src), str(binary), extra), COMPILE_TIMEOUT_S,
+             "compile-failure", "compile")
         return binary
 
 
@@ -103,6 +165,25 @@ def _flatten(name: str, value, extents: dict[str, int], node) -> np.ndarray:
     return np.ascontiguousarray(arr.ravel(order=_numpy_order(node)))
 
 
+def _size(node, extents: dict[str, int]) -> int:
+    return math.prod(extents[d] for d in node.dims)
+
+
+def _unflatten(graph: DataflowGraph, bufs: dict[str, np.ndarray],
+               extents: dict[str, int]) -> dict:
+    """Each output's flat buffer in its numpy shape (a float for a scalar)."""
+    outputs = {}
+    for name, decl in graph.spec.outputs:
+        node = graph.data[name]
+        if decl.kind == "scalar":
+            outputs[name] = float(bufs[name][0])
+        else:
+            shape = tuple(extents[d] for d in node.dims)
+            outputs[name] = bufs[name].reshape(shape,
+                                               order=_numpy_order(node))
+    return outputs
+
+
 def run_kernel(
     binary: Path,
     kernel: GeneratedKernel,
@@ -110,7 +191,8 @@ def run_kernel(
     inputs: dict,
     extents: dict[str, int],
 ) -> dict:
-    """Call the compiled kernel on numpy inputs; returns outputs dict.
+    """Call the kernel of a shared object in this process, through ctypes,
+    on numpy inputs; returns outputs dict.
 
     Output buffers start as NaN so an uninitialized read is loud.
     """
@@ -130,27 +212,15 @@ def run_kernel(
             args.append(flat.ctypes.data_as(ctypes.POINTER(ctypes.c_double)))
     out_bufs = {}
     for name, decl in spec.outputs:
-        node = graph.data[name]
-        size = 1
-        for d in node.dims:
-            size *= extents[d]
-        buf = np.full(size, np.nan, dtype=np.float64)
+        buf = np.full(_size(graph.data[name], extents), np.nan,
+                      dtype=np.float64)
         out_bufs[name] = buf
         keep.append(buf)
         args.append(buf.ctypes.data_as(ctypes.POINTER(ctypes.c_double)))
     for ext in graph.extent_names:
         args.append(ctypes.c_long(extents[ext]))
     fn(*args)
-    outputs = {}
-    for name, decl in spec.outputs:
-        node = graph.data[name]
-        buf = out_bufs[name]
-        if decl.kind == "scalar":
-            outputs[name] = float(buf[0])
-        else:
-            shape = tuple(extents[d] for d in node.dims)
-            outputs[name] = buf.reshape(shape, order=_numpy_order(node))
-    return outputs
+    return _unflatten(graph, out_bufs, extents)
 
 
 def random_inputs(graph: DataflowGraph, extents: dict[str, int],
@@ -181,37 +251,48 @@ def max_rel_error(got: dict, want: dict) -> float:
     return worst
 
 
-def validation_error(kernel: GeneratedKernel, graph: DataflowGraph,
-                     extents: dict[str, int], toolchain: Toolchain,
-                     seed: int) -> float:
-    """Build the kernel as a shared object in a temporary directory, run it
-    on seeded random inputs at `extents`, and return its max relative
-    error against the reference evaluator.
+def validation_error(binary: Path, graph: DataflowGraph,
+                     extents: dict[str, int], seed: int) -> float:
+    """Run a kernel binary (Toolchain.compile of the emitted source) once
+    in validation mode on seeded random inputs at `extents`, with its input
+    and output files beside it, and return its max relative error against
+    the reference evaluator.
 
-    A failed compile raises ToolchainError; a failed call raises what
-    ctypes or the output check raised.
+    The binary fills the outputs with NaN before the call, so an output
+    left unwritten fails.  A crash or a hang raises ToolchainError.
     """
+    spec = graph.spec
     inputs = random_inputs(graph, extents, seed)
-    with tempfile.TemporaryDirectory(prefix="matfuse-") as wd:
-        lib = toolchain.compile(kernel.source, wd, shared=True)
-        got = run_kernel(lib, kernel, graph, inputs, extents)
-    return max_rel_error(got, interp.reference_evaluate(graph.spec, inputs))
+    src, dst = binary.parent / "inputs.f64", binary.parent / "outputs.f64"
+    with src.open("wb") as fh:
+        for name, _ in spec.inputs:
+            _flatten(name, inputs[name], extents, graph.data[name]).tofile(fh)
+    argv = [str(binary)] + [str(extents[n]) for n in graph.extent_names]
+    _run(argv + ["1", str(src), str(dst)], RUN_TIMEOUT_S, "runtime-crash",
+         "kernel binary")
+    sizes = [_size(graph.data[name], extents) for name, _ in spec.outputs]
+    flat = np.fromfile(dst, dtype=np.float64) if dst.exists() \
+        else np.empty(0)
+    if flat.size != sum(sizes):
+        raise ToolchainError(
+            "runtime-crash", f"kernel binary wrote {flat.size} of "
+            f"{sum(sizes)} output values: {' '.join(argv)}"
+        )
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    got = _unflatten(graph, dict(zip((n for n, _ in spec.outputs), parts)),
+                     extents)
+    return max_rel_error(got, interp.reference_evaluate(spec, inputs))
 
 
 def time_binary(binary: Path, extents: dict[str, int],
                 extent_names: tuple[str, ...], reps: int = 5) -> float:
-    """Run the standalone binary, parse the minimum-seconds line."""
+    """Run the binary in timing mode, parse the minimum-seconds line."""
     argv = [str(binary)] + [str(extents[n]) for n in extent_names] + [str(reps)]
-    proc = subprocess.run(argv, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise ToolchainError(
-            f"kernel binary crashed (exit {proc.returncode}): "
-            f"{proc.stderr.strip()}"
-        )
-    for line in proc.stdout.splitlines():
+    out = _run(argv, RUN_TIMEOUT_S, "runtime-crash", "kernel binary")
+    for line in out.splitlines():
         if line.startswith("seconds "):
             return float(line.split()[1])
-    raise ToolchainError(f"no timing line in output: {proc.stdout!r}")
+    raise ToolchainError("runtime-crash", f"no timing line in output: {out!r}")
 
 
 def workdir() -> Path:

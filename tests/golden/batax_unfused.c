@@ -40,20 +40,40 @@ static double now_(void) {
     clock_gettime(CLOCK_MONOTONIC, &ts);
     return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
 }
+static void fill_(double *to, size_t count, FILE *source) {
+    if (source) {
+        if (fread(to, sizeof(double), count, source) != count) exit(2);
+        return;
+    }
+    for (size_t q = 0; q < count; ++q) {
+        to[q] = rnd_();
+    }
+}
 int main(int argc, char **argv) {
     long M = argc > 1 ? atol(argv[1]) : 200;
     long N = argc > 2 ? atol(argv[2]) : 200;
     long reps = argc > 3 ? atol(argv[3]) : 5;
+    FILE *src = argc > 5 ? fopen(argv[4], "rb") : NULL;
+    if (argc > 5 && !src) return 2;
     double *x = (double *)malloc(sizeof(double) * (size_t)N);
-    for (size_t q = 0; q < (size_t)N; ++q) {
-        x[q] = rnd_();
-    }
-    double beta = rnd_();
+    fill_(x, (size_t)N, src);
+    double beta;
+    fill_(&beta, 1, src);
     double *A = (double *)malloc(sizeof(double) * (size_t)M * (size_t)N);
-    for (size_t q = 0; q < (size_t)M * (size_t)N; ++q) {
-        A[q] = rnd_();
-    }
+    fill_(A, (size_t)M * (size_t)N, src);
     double *y = (double *)calloc((size_t)N, sizeof(double));
+    if (src) {
+        fclose(src);
+        double nan_ = strtod("nan", NULL);
+        for (size_t q = 0; q < (size_t)N; ++q) {
+            y[q] = nan_;
+        }
+        batax(x, beta, A, y, M, N);
+        FILE *dst = fopen(argv[5], "wb");
+        if (!dst) return 2;
+        fwrite(y, sizeof(double), (size_t)N, dst);
+        return fclose(dst) == 0 ? 0 : 2;
+    }
     batax(x, beta, A, y, M, N); /* warm-up, untimed */
     double best = 1e300;
     for (long r = 0; r < reps; ++r) {

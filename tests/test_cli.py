@@ -142,13 +142,21 @@ class TestSearch:
 
     def test_failed_candidates_write_valid_json(self, tmp_path, capsys):
         outdir = tmp_path / "run"
-        code, stdout, _ = run(
+        code, stdout, stderr = run(
             capsys, "search", str(kernel_path("vadd")), "--fitness",
             "empirical", "--budget", "2", "--extents", "64", "--cc", "false",
             "--cc-template", "{cc} {src} -o {bin}", "--no-validate",
             "--out-dir", str(outdir),
         )
         assert code == 3
+        # the compiler printed nothing, so the message is one line
+        lines = stderr.splitlines()
+        errors = [line for line in lines if line.startswith("error:")]
+        assert len(errors) == 1 and ")" not in lines
+        assert errors[0].startswith("error: no candidate succeeded "
+                                    "(compile-failure: compile failed "
+                                    "(exit status 1): false ")
+        assert errors[0].endswith(")")
         summary = strict_json((outdir / "summary.json").read_text())
         assert summary["fitness"] is None
         assert strict_json(stdout) == summary

@@ -16,7 +16,8 @@ from matfuse.interp import EvaluationError, reference_evaluate
 from matfuse.lang import parse_kernel
 from matfuse.lower import IRLoop, IRParallel, contract_arrays, lower
 from matfuse.runtime import (
-    max_rel_error, random_inputs, run_kernel, time_binary, workdir,
+    max_rel_error, random_inputs, run_kernel, time_binary, validation_error,
+    workdir,
 )
 from matfuse.search import SearchConfig, max_fuse, random_organism
 
@@ -280,18 +281,38 @@ class TestTimingMain:
         binary = toolchain.compile(kernel.source, tmp_path, name="kmain")
         assert time_binary(binary, ext, g.extent_names, reps=1) >= 0
 
+    CLASHES = [
+        ("CLASH in: best : matrix(row), q : vector(column), "
+         "r : vector(column) out: checksum : vector(column) "
+         "{ checksum = best * q + r }",
+         ["double checksum_ = 0.0;", "for (size_t q_ = 0;"]),
+        # the validation mode's file handles, fill helper and NaN local
+        ("FILES in: src : matrix(row), dst : vector(column), "
+         "fill_ : vector(column), to : vector(column), count : scalar "
+         "out: source : vector(column), nan_ : scalar "
+         "{ source = src * dst + fill_ "
+         "  nan_ = count * to' * to }",
+         ["FILE *src_ =", "FILE *dst_ =", "static void fill__(double *to_, "
+          "size_t count_, FILE *source_)", "double nan__ ="]),
+    ]
+
     def test_arrays_named_like_main_locals(self, toolchain, tmp_path):
-        g = infer_types(build_dataflow(parse_kernel(
-            "CLASH in: best : matrix(row), q : vector(column), "
-            "r : vector(column) out: checksum : vector(column) "
-            "{ checksum = best * q + r }")))
-        M, N = 5, 7
-        _, kernel = build(g, max_fuse(g, 2), {"M": M, "N": N})
-        assert "double checksum_ = 0.0;" in kernel.source
-        assert "for (size_t q_ = 0;" in kernel.source
-        binary = toolchain.compile(kernel.source, tmp_path, name="kmain")
-        proc = subprocess.run([str(binary), str(M), str(N), "1"],
-                              capture_output=True, text=True, timeout=60)
+        for text, renamed in self.CLASHES:
+            self.check_both_modes(text, renamed, toolchain,
+                                  tmp_path / text.split()[0])
+
+    def check_both_modes(self, text, renamed, toolchain, wd):
+        wd.mkdir()
+        g = infer_types(build_dataflow(parse_kernel(text)))
+        ext = dict(zip(g.extent_names, (5, 7, 3)))
+        _, kernel = build(g, max_fuse(g, 2), ext)
+        for decl in renamed:
+            assert decl in kernel.source
+        binary = toolchain.compile(kernel.source, wd, name="kmain")
+        assert validation_error(binary, g, ext, seed=5) < 1e-10
+        argv = [str(binary), *(str(ext[n]) for n in g.extent_names), "1"]
+        proc = subprocess.run(argv, capture_output=True, text=True,
+                              timeout=60)
         assert proc.returncode == 0, proc.stderr
         printed = dict(line.split() for line in proc.stdout.splitlines())
         state = 88172645463325252  # main's LCG fills inputs in order
@@ -305,9 +326,15 @@ class TestTimingMain:
                 out.append((state >> 11) / 9007199254740992.0)
             return np.array(out)
 
-        best, q, r = draws(M * N).reshape(M, N), draws(N), draws(M)
+        inputs = {}
+        for name, decl in g.spec.inputs:
+            shape = tuple(ext[d] for d in g.data[name].dims)
+            flat = draws(int(np.prod(shape)))  # row-major and vectors only
+            inputs[name] = float(flat[0]) if decl.kind == "scalar" \
+                else flat.reshape(shape)
+        outputs = reference_evaluate(g.spec, inputs)
         assert float(printed["checksum"]) == pytest.approx(
-            float(np.sum(best @ q + r)), rel=1e-12)
+            sum(float(np.sum(v)) for v in outputs.values()), rel=1e-12)
 
 
 class TestBodyNames:

@@ -1,15 +1,19 @@
 import math
+import os
+import subprocess
 import tempfile
 
 import numpy as np
 import pytest
 
+from matfuse import cli, runtime
 from matfuse.cost import (
     EmpiricalTimer, MachineModel, cached, estimate_cost, measure_empirical,
 )
+from matfuse.corpus import kernel_path
 from matfuse.fuse import Organism, parse_notation, initial_forest, with_threads
-from matfuse.runtime import max_rel_error
-from matfuse.search import max_fuse
+from matfuse.runtime import Toolchain, max_rel_error
+from matfuse.search import SearchConfig, max_fuse, run_strategy
 
 
 MACHINE = MachineModel(core_count=8, extents=(("M", 1000), ("N", 1000)))
@@ -205,6 +209,40 @@ def test_nan_outputs_never_validate():
         assert not max_rel_error(got, want) < 1e-10
 
 
+def at_kernel_top(stmt: str):
+    """A source filter that makes `stmt` the kernel function's first
+    statement (the first ") {" of the emitted file opens its body)."""
+    def put(source: str) -> str:
+        head, brace, body = source.partition(") {\n")
+        return f"{head}{brace}    {stmt}\n{body}"
+    return put
+
+
+@pytest.fixture
+def children(tmp_path, monkeypatch):
+    """Temporary files under tmp_path, and the pid of every child started:
+    each leads its own process group."""
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", None)
+    pids = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pids.append(self.pid)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return pids
+
+
+def assert_nothing_left(tmp_path, pids):
+    assert pids
+    assert not list(tmp_path.glob("matfuse-*"))
+    for pid in pids:  # no process is left in any child's group
+        with pytest.raises(ProcessLookupError):
+            os.killpg(pid, 0)
+
+
 class TestEmpiricalHygiene:
     def test_broken_timing_main_reports_compile_failure(self, batax,
                                                         toolchain):
@@ -218,12 +256,73 @@ class TestEmpiricalHygiene:
         assert report.diagnostic.startswith("compile-failure")
 
     def test_evaluations_leave_no_temp_dirs(self, batax, toolchain, tmp_path,
-                                            monkeypatch):
-        monkeypatch.setenv("TMPDIR", str(tmp_path))
-        monkeypatch.setattr(tempfile, "tempdir", None)
+                                            children):
         timer = EmpiricalTimer(batax, toolchain, {"M": 32, "N": 32}, reps=1)
         assert not timer(max_fuse(batax, 2)).failed
         broken = EmpiricalTimer(batax, toolchain, {"M": 32, "N": 32}, reps=1,
                                 source_filter=lambda s: s + "#error x\n")
         assert broken(max_fuse(batax, 2)).failed
-        assert not list(tmp_path.glob("matfuse-*"))
+        assert_nothing_left(tmp_path, children)
+
+
+class TestFaultIsolation:
+    """A candidate that crashes or hangs costs one +inf with a diagnostic;
+    the search goes on and nothing of the candidate is left behind."""
+
+    def test_segfault_is_a_runtime_crash_and_the_search_goes_on(
+            self, batax, toolchain, tmp_path, children):
+        crash = at_kernel_top("*(volatile double *)0 = 0.0;")
+        report = measure_empirical(max_fuse(batax, 2), batax, toolchain,
+                                   {"M": 32, "N": 32}, reps=1,
+                                   source_filter=crash)
+        assert report.failed
+        assert report.diagnostic.startswith("runtime-crash: kernel binary "
+                                             "failed (signal SIG")
+        timer = EmpiricalTimer(batax, toolchain, {"M": 32, "N": 32}, reps=1,
+                               source_filter=crash)
+        res = run_strategy("random", batax,
+                           SearchConfig(budget=3, seed=0, core_count=2),
+                           cached(timer))
+        assert len(res.log) == 3
+        assert all(math.isinf(e.fitness) for e in res.log)
+        assert res.best_report.diagnostic.startswith("runtime-crash")
+        assert_nothing_left(tmp_path, children)
+
+    def test_hang_is_a_timeout(self, batax, toolchain, tmp_path, children,
+                               monkeypatch):
+        monkeypatch.setattr(runtime, "RUN_TIMEOUT_S", 1.0)
+        report = measure_empirical(max_fuse(batax, 2), batax, toolchain,
+                                   {"M": 32, "N": 32}, reps=1,
+                                   source_filter=at_kernel_top("for (;;);"))
+        assert report.failed
+        assert report.diagnostic.startswith("timeout: kernel binary timed "
+                                            "out after 1 s")
+        assert_nothing_left(tmp_path, children)
+
+
+class TestOneCompilePerCandidate:
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        calls = []
+        real = Toolchain.compile
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Toolchain, "compile", counted)
+        return calls
+
+    def test_measure_empirical_compiles_once(self, batax, toolchain,
+                                             compiles):
+        report = measure_empirical(max_fuse(batax, 2), batax, toolchain,
+                                   {"M": 64, "N": 64}, reps=1)
+        assert not report.failed
+        assert len(compiles) == 1
+
+    def test_cli_validation_compiles_once(self, toolchain, compiles, tmp_path,
+                                          capsys):
+        code = cli.main(["compile", str(kernel_path("batax")), "-o",
+                         str(tmp_path / "k.c"), "--extents", "20,20"])
+        assert code == 0 and "validated" in capsys.readouterr().out
+        assert len(compiles) == 1
