@@ -180,20 +180,13 @@ class CachedFitness:
     """Memoizes fitness on the canonical organism key.  A table belongs to
     one fitness function, whose extents are fixed."""
 
-    def __init__(self, fn, enabled: bool = True):
+    def __init__(self, fn):
         self.fn = fn
-        self.enabled = enabled
         self.hits = 0
         self.misses = 0
         self._table: dict[str, CostReport] = {}
 
-    def __contains__(self, org: Organism) -> bool:
-        return canonical_key(org) in self._table
-
     def __call__(self, org: Organism) -> CostReport:
-        if not self.enabled:
-            self.misses += 1
-            return self.fn(org)
         key = canonical_key(org)
         if key in self._table:
             self.hits += 1
@@ -204,5 +197,5 @@ class CachedFitness:
         return report
 
 
-def cached(fn, enabled: bool = True) -> CachedFitness:
-    return CachedFitness(fn, enabled)
+def cached(fn) -> CachedFitness:
+    return CachedFitness(fn)

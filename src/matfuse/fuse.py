@@ -20,9 +20,10 @@ derived from its forest: the partition roots' counts in root order.
 fusion_legal is the only statement of the rules below.  Its first
 phase, shape_diagnostic, is also what parse_notation reports when text
 names a badly shaped forest (the parser itself judges only the text),
-and joint_partitions offers exactly the partition axes fusion_legal
+and partition_axes offers exactly the partition axes fusion_legal
 accepts, reading the same per-axis tables of the graph (the ops
-iterating each axis and its reduction pairs).
+iterating each axis and its reduction pairs); joint_partitions builds
+its per-operation choices on it.
 
 Structural invariants:
 
@@ -432,26 +433,30 @@ def enumerate_partitionings(op_id: int, graph: DataflowGraph) -> list[PartitionC
     return choices
 
 
+def partition_axes(ops: int, graph: DataflowGraph) -> list[str]:
+    """The axes a p(axis) root over the bitmask passes fusion_legal's
+    partition-axis and reduction rules with, read from the same graph
+    tables: every op iterates the axis and no reduction pair of the axis
+    lies inside the set.  In the nest order of the lowest op; empty when
+    partitioned fusion is impossible here."""
+    if not ops:
+        return []
+    labels = graph.op(next(bits(ops))).nest.labels()
+    return [a for a in labels
+            if not _stray_op(ops, a, graph) and not _reduction_pair(ops, a, graph)]
+
+
 def joint_partitions(
     op_ids: list[int] | tuple[int, ...], graph: DataflowGraph
 ) -> list[dict[int, PartitionChoice]]:
-    """Consistent partition assignments for a set of fused operations.
-
-    All operations must cut the same physical axis (shared operands are
-    then sliced identically), and no choice may put a parallel reduction
-    ahead of a consumer inside the same set: exactly the axes a p(axis)
-    root over the set passes fusion_legal's partition-axis and reduction
-    rules with, read from the same graph tables.  An empty list means
-    partitioned fusion is impossible here.
+    """Consistent partition assignments for a set of fused operations:
+    each op's PartitionChoice on every axis of partition_axes.  All
+    operations cut the same physical axis, so shared operands are sliced
+    identically.
     """
-    ids = sorted(set(op_ids))
-    if not ids:
-        return []
-    ops = sum(1 << i for i in ids)
-    axes = [a for a in graph.op(ids[0]).nest.labels()
-            if not _stray_op(ops, a, graph) and not _reduction_pair(ops, a, graph)]
+    ops = sum(1 << i for i in set(op_ids))
     return [{i: next(c for c in enumerate_partitionings(i, graph) if c.axis == a)
-             for i in ids} for a in axes]
+             for i in bits(ops)} for a in partition_axes(ops, graph)]
 
 
 # ---------------------------------------------------------------------------

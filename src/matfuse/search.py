@@ -10,17 +10,23 @@ thread sweep on the winner), and full exhaustive enumeration.  One
 driver, run_strategy, runs every strategy; mfga, ga and orthogonal end
 with the thread sweep.
 
-Every organism edit is a forest splice (zero or more nodes in place of
-the node at a path) followed by canonicalize.  A partition node carries
-its own thread count, so an edit that moves, splits or merges partitions
-takes their counts along; a thread-count change is with_threads.
+Every organism move is a list of forest splices (zero or more nodes in
+place of the node at a path) that _edit applies before canonicalize.
+One generator lists the fusion moves, which mutation samples and
+max-fuse's loop-level pass applies in order, and another the splits.
+A partition node carries its own thread count, so a move that moves,
+splits or merges partitions takes their counts along; a thread-count
+change is with_threads.  fuse.partition_axes is the one answer to which
+axes a root may be partitioned on.
 
 Every candidate any strategy evaluates is legality-checked by
 construction: mutation and crossover re-validate and fall back to the
 unchanged/feasible form, so no fitness evaluation is ever spent on an
 illegal organism.  Fitness values are cached on the canonical organism
-key; the evaluation budget counts cache misses (real evaluations) and,
-with the generation and step counts, is what ends a search.
+key.  Each run keeps its own count of the distinct organisms it asked
+for; that count is the evaluation budget and, with the generation and
+step counts, is what ends a search.  A cache shared between runs only
+saves computation.
 """
 
 from __future__ import annotations
@@ -29,14 +35,13 @@ import contextlib
 import itertools
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .cost import CachedFitness, CostReport, cached
 from .fuse import (
     IterNode, Limits, LoopNode, OpLeaf, Organism, PartitionNode,
-    canonical_key, canonicalize, enumerate_partitionings, enumerate_space,
-    full_nest, fusion_legal, initial_forest, joint_partitions, with_children,
-    with_threads,
+    canonical_key, canonicalize, enumerate_space, full_nest, fusion_legal,
+    initial_forest, partition_axes, with_children, with_threads,
 )
 from .graph import DataflowGraph, bits
 
@@ -77,13 +82,7 @@ class LogEntry:
     strategy: str
 
     def as_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "fitness": self.fitness,
-            "generation": self.generation,
-            "elapsed_s": self.elapsed_s,
-            "strategy": self.strategy,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -93,8 +92,8 @@ class SearchResult:
     best_fitness: float
     best_report: CostReport
     log: list[LogEntry]
-    evaluations: int  # unique fitness evaluations (cache misses)
-    cache_hits: int
+    evaluations: int  # fitness evaluations this run (its cache misses)
+    cache_hits: int  # this run's cache hits
     sweeps: int = 0  # thread-sweep candidates tried
 
     @property
@@ -129,48 +128,78 @@ def _edit(org: Organism, graph: DataflowGraph, *splices) -> Organism:
 
 
 # ---------------------------------------------------------------------------
+# Moves: each is a list of (path, nodes) splices for _edit
+
+def _inner_nodes(org: Organism):
+    """(path, node) of every loop and partition node, in preorder."""
+    def walk(node: IterNode, path: tuple[int, ...]):
+        if not isinstance(node, OpLeaf):
+            yield path, node
+            for idx, child in enumerate(node.children):
+                yield from walk(child, path + (idx,))
+
+    for ridx, root in enumerate(org.forest):
+        yield from walk(root, (ridx,))
+
+
+def _mergeable(a: IterNode, b: IterNode) -> bool:
+    """Siblings one fusion step merges: loops on the same axis, or
+    partitions on the same axis with the same count."""
+    if isinstance(a, LoopNode) and isinstance(b, LoopNode):
+        return a.axis == b.axis
+    return isinstance(a, PartitionNode) and isinstance(b, PartitionNode) \
+        and (a.axis, a.threads) == (b.axis, b.threads)
+
+
+def _merge(path: tuple[int, ...], kids: tuple[IterNode, ...], ia: int,
+           ib: int):
+    """The splices that fold kids[ib] into kids[ia], both children of the
+    node at `path` (() for the forest)."""
+    a, b = kids[ia], kids[ib]
+    merged = with_children(a, a.children + b.children)
+    return (path + (ib,), ()), (path + (ia,), (merged,))
+
+
+def _fusion_moves(org: Organism, roots: bool = True) -> list:
+    """Every one-step fusion: pairs of roots first (unless roots=False),
+    then the children of each loop or partition node in preorder."""
+    levels = [(path, node.children) for path, node in _inner_nodes(org)]
+    if roots:
+        levels.insert(0, ((), org.forest))
+    return [_merge(path, kids, ia, ib) for path, kids in levels
+            for ia, ib in itertools.combinations(range(len(kids)), 2)
+            if _mergeable(kids[ia], kids[ib])]
+
+
+def _split_moves(org: Organism) -> list:
+    """Every one-step split: a loop or partition node cut in two before
+    one of its children."""
+    return [((path, (with_children(node, node.children[:pos]),
+                     with_children(node, node.children[pos:]))),)
+            for path, node in _inner_nodes(org)
+            for pos in range(1, len(node.children))]
+
+
+# ---------------------------------------------------------------------------
 # Max fuse
 
-def _choice_order(assignments, graph) -> list:
-    """Prefer joint assignments with fewer parallel reductions, then by axis."""
-    def score(asg):
-        reds = sum(1 for c in asg.values() if c.parallel_reduction)
-        return (reds, next(iter(asg.values())).axis)
+def _axis_order(ops: int, graph: DataflowGraph) -> list[str]:
+    """The partition axes of the op set, fewest parallel reductions first,
+    then by label."""
+    def reductions(axis: str) -> int:
+        return sum(graph.op(i).nest.reduction_axis == axis for i in bits(ops))
 
-    return sorted(assignments, key=score)
-
-
-def _loop_pairs(kids: tuple[IterNode, ...]):
-    """Index pairs ia < ib of sibling loop nodes on the same axis."""
-    for ia, ib in itertools.combinations(range(len(kids)), 2):
-        a, b = kids[ia], kids[ib]
-        if isinstance(a, LoopNode) and isinstance(b, LoopNode) \
-                and a.axis == b.axis:
-            yield ia, ib
+    return sorted(partition_axes(ops, graph), key=lambda a: (reductions(a), a))
 
 
 def _merge_loop_siblings(org: Organism, graph: DataflowGraph) -> Organism:
-    """Greedily merge sibling loop nodes of equal axis while legal, outermost
-    first (breadth-first within each root): one accepted merge restarts the
-    scan."""
-    def scan(org: Organism) -> Organism | None:
-        for ridx, root in enumerate(org.forest):
-            queue: list[tuple[IterNode, tuple[int, ...]]] = [(root, (ridx,))]
-            while queue:
-                node, path = queue.pop(0)
-                if isinstance(node, OpLeaf):
-                    continue
-                for ia, ib in _loop_pairs(node.children):
-                    cand = _apply_sibling_merge(
-                        org, graph, ("siblings", path, node, ia, ib))
-                    if fusion_legal(cand, graph) is None:
-                        return cand
-                for idx, child in enumerate(node.children):
-                    queue.append((child, path + (idx,)))
-        return None
-
+    """Greedily merge sibling loop nodes of equal axis while legal, scanning
+    the loop and partition nodes in preorder: one accepted merge restarts
+    the scan."""
     while True:
-        nxt = scan(org)
+        cands = (_edit(org, graph, *move)
+                 for move in _fusion_moves(org, roots=False))
+        nxt = next((c for c in cands if fusion_legal(c, graph) is None), None)
         if nxt is None:
             return org
         org = nxt
@@ -180,17 +209,15 @@ def max_fuse(graph: DataflowGraph, core_count: int = 8) -> Organism:
     """Greedy maximal fusion over partitioned-but-undecided roots.
 
     Roots merge pairwise (ascending scan, restart after every merge) when
-    a joint partition assignment exists; loop levels then fuse as deeply
-    as legality allows.  Leftover single-operation roots get their
+    a joint partition axis exists; loop levels then fuse as deeply as
+    legality allows.  Leftover single-operation roots get their
     preferred partition axis; scalar operations stay bare.
     """
     def merge_roots(org: Organism, ia: int, ib: int) -> Organism | None:
         ra, rb = org.forest[ia], org.forest[ib]
-        group = list(bits(ra.mask | rb.mask))
         inner_a = ra.children if isinstance(ra, PartitionNode) else (ra,)
         inner_b = rb.children if isinstance(rb, PartitionNode) else (rb,)
-        for asg in _choice_order(joint_partitions(group, graph), graph):
-            axis = next(iter(asg.values())).axis
+        for axis in _axis_order(ra.mask | rb.mask, graph):
             part = PartitionNode(axis, core_count, inner_a + inner_b)
             cand = _edit(org, graph, ((ib,), ()), ((ia,), (part,)))
             if fusion_legal(cand, graph) is None:
@@ -211,11 +238,8 @@ def max_fuse(graph: DataflowGraph, core_count: int = 8) -> Organism:
     for ridx, root in enumerate(org.forest):
         if isinstance(root, PartitionNode) or root.mask.bit_count() != 1:
             continue
-        op_id = root.mask.bit_length() - 1
-        choices = sorted(enumerate_partitionings(op_id, graph),
-                         key=lambda c: (c.parallel_reduction, c.axis))
-        for choice in choices:
-            part = PartitionNode(choice.axis, core_count, (root,))
+        for axis in _axis_order(root.mask, graph):
+            part = PartitionNode(axis, core_count, (root,))
             cand = _edit(org, graph, ((ridx,), (part,)))
             if fusion_legal(cand, graph) is None:
                 org = cand
@@ -228,62 +252,6 @@ def max_fuse(graph: DataflowGraph, core_count: int = 8) -> Organism:
 # ---------------------------------------------------------------------------
 # Mutation
 
-def _inner_nodes(org: Organism):
-    """(path, node) of every loop and partition node, in preorder."""
-    def walk(node: IterNode, path: tuple[int, ...]):
-        if not isinstance(node, OpLeaf):
-            yield path, node
-            for idx, child in enumerate(node.children):
-                yield from walk(child, path + (idx,))
-
-    for ridx, root in enumerate(org.forest):
-        yield from walk(root, (ridx,))
-
-
-def _loop_fusion_sites(org: Organism):
-    """Candidates for one add-fusion step: ("roots", ia, ib, merged) for
-    two roots, ("siblings", path, node, ia, ib) for two children of the
-    node at `path` (a root index, then child indices)."""
-    sites = []
-    roots = org.forest
-    for ia, ib in itertools.combinations(range(len(roots)), 2):
-        a, b = roots[ia], roots[ib]
-        loops = isinstance(a, LoopNode) and isinstance(b, LoopNode)
-        parts = isinstance(a, PartitionNode) and isinstance(b, PartitionNode) \
-            and a.threads == b.threads
-        if (loops or parts) and a.axis == b.axis:
-            sites.append(("roots", ia, ib,
-                          with_children(a, a.children + b.children)))
-    for path, node in _inner_nodes(org):
-        for ia, ib in _loop_pairs(node.children):
-            sites.append(("siblings", path, node, ia, ib))
-    return sites
-
-
-def _apply_root_merge(org, graph, ia, ib, merged) -> Organism:
-    return _edit(org, graph, ((ib,), ()), ((ia,), (merged,)))
-
-
-def _apply_sibling_merge(org, graph, site) -> Organism:
-    _, path, node, ia, ib = site
-    a, b = node.children[ia], node.children[ib]
-    merged = LoopNode(a.axis, a.children + b.children)
-    return _edit(org, graph, (path + (ib,), ()), (path + (ia,), (merged,)))
-
-
-def _split_sites(org: Organism):
-    """(path, node, pos): cut the node's children before position pos."""
-    return [(path, node, pos) for path, node in _inner_nodes(org)
-            for pos in range(1, len(node.children))]
-
-
-def _apply_split(org, graph, site) -> Organism:
-    path, node, pos = site
-    halves = (with_children(node, node.children[:pos]),
-              with_children(node, node.children[pos:]))
-    return _edit(org, graph, (path, halves))
-
-
 def mutate(org: Organism, graph: DataflowGraph, rng: random.Random,
            cfg: SearchConfig) -> Organism:
     """Apply one random change; inapplicable or illegal choices leave the
@@ -294,20 +262,12 @@ def mutate(org: Organism, graph: DataflowGraph, rng: random.Random,
     clamped to [2, core_count]).
     """
     kind = rng.randrange(4)
+    parts = [i for i, r in enumerate(org.forest) if isinstance(r, PartitionNode)]
     cand: Organism | None = None
     if kind == 0:  # fusion level
-        if rng.random() < 0.5:
-            sites = _loop_fusion_sites(org)
-            if sites:
-                site = sites[rng.randrange(len(sites))]
-                if site[0] == "roots":
-                    cand = _apply_root_merge(org, graph, *site[1:])
-                else:
-                    cand = _apply_sibling_merge(org, graph, site)
-        else:
-            sites = _split_sites(org)
-            if sites:
-                cand = _apply_split(org, graph, sites[rng.randrange(len(sites))])
+        moves = _fusion_moves(org) if rng.random() < 0.5 else _split_moves(org)
+        if moves:
+            cand = _edit(org, graph, *moves[rng.randrange(len(moves))])
     elif kind == 1:  # partition level
         if rng.random() < 0.5:
             bare = [i for i, r in enumerate(org.forest)
@@ -315,28 +275,21 @@ def mutate(org: Organism, graph: DataflowGraph, rng: random.Random,
             if bare:
                 ridx = bare[rng.randrange(len(bare))]
                 root = org.forest[ridx]
-                assignments = joint_partitions(list(bits(root.mask)), graph)
-                if assignments:
-                    asg = assignments[rng.randrange(len(assignments))]
-                    axis = next(iter(asg.values())).axis
+                axes = partition_axes(root.mask, graph)
+                if axes:
+                    axis = axes[rng.randrange(len(axes))]
                     t = org.threads[0] if org.threads else cfg.core_count
                     part = PartitionNode(axis, t, (root,))
                     cand = _edit(org, graph, ((ridx,), (part,)))
-        else:
-            parts = [i for i, r in enumerate(org.forest)
-                     if isinstance(r, PartitionNode)]
-            if parts:
-                ridx = parts[rng.randrange(len(parts))]
-                cand = _edit(org, graph, ((ridx,), org.forest[ridx].children))
+        elif parts:
+            ridx = parts[rng.randrange(len(parts))]
+            cand = _edit(org, graph, ((ridx,), org.forest[ridx].children))
     elif kind == 2:  # partition axis
-        parts = [i for i, r in enumerate(org.forest)
-                 if isinstance(r, PartitionNode)]
         if parts:
             ridx = parts[rng.randrange(len(parts))]
             root = org.forest[ridx]
-            axes = [next(iter(a.values())).axis
-                    for a in joint_partitions(list(bits(root.mask)), graph)]
-            axes = [a for a in axes if a != root.axis]
+            axes = [a for a in partition_axes(root.mask, graph)
+                    if a != root.axis]
             if axes:
                 axis = axes[rng.randrange(len(axes))]
                 part = PartitionNode(axis, root.threads, root.children)
@@ -546,8 +499,10 @@ def thread_sweep(org: Organism, evaluate, core_count: int,
                  per_partition: bool = False,
                  budget: int | None = None) -> tuple[Organism, int]:
     """Try global thread counts {2, 4, ..., core_count} on the organism,
-    return (best, candidates tried).  per_partition=True sweeps each
-    partition's count independently (bounded by the remaining budget)."""
+    return (best, candidates tried).  per_partition=True tries every
+    combination of per-partition counts instead, the first `budget` of
+    them; an evaluator that raises when its run's budget is spent ends
+    the sweep there."""
     if not org.threads:
         return org, 0
     counts = list(range(2, core_count + 1, 2))
@@ -583,11 +538,15 @@ class _BudgetDone(Exception):
 
 
 class _Evaluator:
-    """Cached fitness with logging and a unique-evaluation budget."""
+    """Cached fitness with logging and a budget of the distinct organisms
+    this run asks for.  The cache may come warm from an earlier run: it
+    saves computation only, and the counts it reports are this run's."""
 
     def __init__(self, fitness, strategy: str, cfg: SearchConfig):
         self.fitness = fitness if isinstance(fitness, CachedFitness) \
             else cached(fitness)
+        self.seen: set[str] = set()  # keys of this run's organisms
+        self.start = self.fitness.misses, self.fitness.hits
         self.strategy = strategy
         self.cfg = cfg
         self.log: list[LogEntry] = []
@@ -598,13 +557,14 @@ class _Evaluator:
 
     def __call__(self, org: Organism) -> CostReport:
         key = canonical_key(org)
-        fresh = org not in self.fitness
+        fresh = key not in self.seen
         # the seed evaluation is always allowed, even at budget 0
         if fresh and self.cfg.budget is not None \
-                and self.fitness.misses >= max(self.cfg.budget, 1):
+                and len(self.seen) >= max(self.cfg.budget, 1):
             raise _BudgetDone()
         report = self.fitness(org)
         if fresh:
+            self.seen.add(key)
             elapsed = 0.0 if report.source == "analytic" \
                 else time.perf_counter() - self.t0
             self.log.append(LogEntry(key, report.total, self.generation,
@@ -622,8 +582,8 @@ class _Evaluator:
             best_fitness=self.best[0],
             best_report=self.best_report,
             log=self.log,
-            evaluations=self.fitness.misses,
-            cache_hits=self.fitness.hits,
+            evaluations=self.fitness.misses - self.start[0],
+            cache_hits=self.fitness.hits - self.start[1],
             sweeps=sweeps,
         )
 
@@ -682,7 +642,7 @@ def run_strategy(strategy: str, graph: DataflowGraph, cfg: SearchConfig,
                 cfg.generations * cfg.population
             # a small kernel's legal space may be smaller than the budget
             for _ in range(10 * budget):
-                if ev.fitness.misses >= budget + 1:
+                if len(ev.seen) >= budget + 1:
                     break
                 org = mutate(org, graph, rng, cfg)
                 ev(org)

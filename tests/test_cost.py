@@ -92,21 +92,15 @@ class TestAnalytic:
     def test_adding_contracting_fusion_never_costs_more(self, batax,
                                                         corpus_graphs):
         from matfuse.fuse import Limits, enumerate_space, fusion_legal
-        from matfuse.search import (
-            _apply_root_merge, _apply_sibling_merge, _loop_fusion_sites,
-        )
+        from matfuse.search import _edit, _fusion_moves
 
         for g in (batax, corpus_graphs["vadd"]):
             machine = MachineModel(core_count=8,
                                    extents=(("M", 500), ("N", 400)))
             for org in enumerate_space(g, Limits(max_threads=2)):
                 base = estimate_cost(org, g, machine).total
-                for site in _loop_fusion_sites(org):
-                    if site[0] == "roots":
-                        cand = _apply_root_merge(org, g, site[1], site[2],
-                                                 site[3])
-                    else:
-                        cand = _apply_sibling_merge(org, g, site)
+                for move in _fusion_moves(org):
+                    cand = _edit(org, g, *move)
                     if fusion_legal(cand, g) is not None:
                         continue
                     assert estimate_cost(cand, g, machine).total <= base
@@ -119,9 +113,6 @@ class TestCaching:
         def __init__(self, graph):
             self.graph = graph
             self.calls = 0
-
-        def key_salt(self):
-            return "count"
 
         def __call__(self, org):
             self.calls += 1
@@ -143,13 +134,6 @@ class TestCaching:
         fn(a)
         fn(b)
         assert fn.fn.calls == 1
-
-    def test_disabled_cache_evaluates_twice(self, batax):
-        fn = cached(self.CountingFitness(batax), enabled=False)
-        org = max_fuse(batax, 8)
-        fn(org)
-        fn(org)
-        assert fn.fn.calls == 2
 
     def test_thread_counts_distinguish_keys(self, batax):
         fn = cached(self.CountingFitness(batax))

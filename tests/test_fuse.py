@@ -81,7 +81,7 @@ class TestNotation:
 
         org = parse_notation("{_{p(i)}{_i{_j 1}}{_i{_j 2}}}{_{p(j)}{_j 3}}",
                              batax, threads=(6, 4))
-        split = search._apply_split(org, batax, ((0,), org.forest[0], 1))
+        split = search._edit(org, batax, *search._split_moves(org)[0])
         assert canonical_key(split) == \
             "{_{p(i)}{_i{_j 1}}}{_{p(i)}{_i{_j 2}}}{_{p(j)}{_j 3}};t=6,6,4"
 

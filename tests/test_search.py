@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from matfuse.corpus import available, load_graph
 from matfuse.cost import AnalyticCost, MachineModel, cached
 from matfuse.fuse import (
     Limits, canonical_key, enumerate_space, format_notation, fusion_legal,
@@ -13,7 +14,7 @@ from matfuse.graph import build_dataflow, infer_types
 from matfuse.lang import parse_kernel
 from matfuse.search import (
     SearchConfig, crossover, max_fuse, mutate, run_strategy,
-    thread_sweep, tournament_select, _loop_fusion_sites,
+    thread_sweep, tournament_select, _edit, _fusion_moves,
 )
 
 
@@ -47,20 +48,16 @@ class TestMaxFuse:
         assert format_notation(org) == "1"
         assert org.threads == ()
 
-    @pytest.mark.parametrize("name", ["dgemvt", "gemver", "dgemv", "bicgk"])
-    def test_no_single_fusion_step_remains(self, name, corpus_graphs):
-        g = corpus_graphs[name]
-        org = max_fuse(g, 8)
-        assert fusion_legal(org, g) is None
-        from matfuse.search import _apply_root_merge, _apply_sibling_merge
-
-        for site in _loop_fusion_sites(org):
-            if site[0] == "roots":
-                cand = _apply_root_merge(org, g, site[1], site[2], site[3])
-            else:
-                cand = _apply_sibling_merge(org, g, site)
-            assert fusion_legal(cand, g) is not None, \
-                f"{name}: fusion step still legal: {format_notation(cand)}"
+    @pytest.mark.parametrize("name", available())
+    def test_no_single_fusion_step_remains(self, name):
+        g = load_graph(name)
+        for cores in (2, 8, 24):
+            org = max_fuse(g, cores)
+            assert fusion_legal(org, g) is None
+            for move in _fusion_moves(org):
+                cand = _edit(org, g, *move)
+                assert fusion_legal(cand, g) is not None, \
+                    f"{name}: fusion step still legal: {format_notation(cand)}"
 
 
 class TestMutate:
@@ -75,14 +72,9 @@ class TestMutate:
         assert want in seen
 
     def test_add_fusion_on_max_fuse_is_a_no_op(self, batax):
-        from matfuse.search import _apply_root_merge, _apply_sibling_merge
-
         mf = max_fuse(batax, 8)
-        for site in _loop_fusion_sites(mf):
-            if site[0] == "roots":
-                cand = _apply_root_merge(mf, batax, site[1], site[2], site[3])
-            else:
-                cand = _apply_sibling_merge(mf, batax, site)
+        for move in _fusion_moves(mf):
+            cand = _edit(mf, batax, *move)
             assert fusion_legal(cand, batax) is not None
         # sampled through mutate, the failed step leaves the organism as-is
         cfg = SearchConfig(core_count=8)
@@ -258,6 +250,21 @@ class TestStrategies:
                            SearchConfig(budget=1000),
                            analytic(corpus_graphs["bicgk"]))
         assert res.evaluations + res.cache_hits <= 10_001
+
+    @pytest.mark.parametrize("budget", [None, 25])
+    @pytest.mark.parametrize("strategy", ["mfga", "ga", "random"])
+    def test_warm_cache_repeats_the_cold_run(self, batax, strategy, budget):
+        # a cache shared between runs saves computation only: the second
+        # run asks for the same organisms, logs them and ends the same way
+        fit = analytic(batax)
+        cfg = SearchConfig(core_count=8, seed=3, generations=6, budget=budget)
+        cold = run_strategy(strategy, batax, cfg, fit)
+        warm = run_strategy(strategy, batax, cfg, fit)
+        assert warm.evaluations == 0
+        assert warm.cache_hits == cold.evaluations + cold.cache_hits
+        assert (warm.best_key, warm.best_fitness) == \
+            (cold.best_key, cold.best_fitness)
+        assert [e.key for e in warm.log] == [e.key for e in cold.log]
 
     def test_vadd_exhaustive_log_length_is_space_size(self, corpus_graphs):
         g = corpus_graphs["vadd"]
