@@ -9,6 +9,35 @@ Partitioned reductions accumulate into per-thread partial buffers joined
 in ascending block order after the region, so results are bit-stable
 run to run at a fixed thread count.
 
+Two register-level transforms shape the loops (Carr & Kennedy, TOPLAS
+1994); the IR itself still mirrors the organism tree:
+
+- scalar replacement: an innermost loop that reduces over its own axis
+  into memory (`q[i] += ...` under `for j`) accumulates in a local
+  `double` that starts at 0.0, and stores it to the target after the
+  loop;
+- unroll-and-jam by UNROLL: a loop whose body holds only statements and
+  innermost loops, one of which reduces over its own axis, and in which
+  nothing reduces over the loop's own axis, runs UNROLL rows per pass.
+  Copy u of each body item runs the pass's row u, the copies of each
+  inner loop share one loop (copy 0's statements, then copy 1's, ...),
+  and the locals the body declares get one name per copy.  Row u is
+  `i + u` clamped to the last row, so the loop needs no remainder loop
+  and covers blocks of any size, fewer than UNROLL rows included.
+
+Neither transform changes the order of any element's additions, so
+outputs are bit-identical to those of the plain loops.  Lowering zeroes
+a reduction's target just before its reduction loop, so a
+scalar-replacement local repeats the same additions from the same 0.0,
+and storing it equals adding it to that 0.0 (a sum that starts at +0.0 is
+never -0.0).  The fusion rules' reduction barrier means the rows of a
+loop share nothing but reductions over the loop's own axis; a jammed loop
+has none, so its rows are independent, and a clamped copy that computes
+the last row again stores the same values over it.  A loop that does
+reduce over its own axis (ATAX's `y[j] +=` under `for i`) would need a
+remainder loop, a second copy of the body that costs compile time, and
+is left plain.
+
 Emission is deterministic: the same organism always yields byte-identical
 source.
 """
@@ -51,9 +80,23 @@ class _Writer:
         return "\n".join(self.lines) + "\n"
 
 
-def _index(storage: Storage, block: str | None = None) -> str:
-    """Flat index expression; loop variables are the axis labels."""
-    labs = storage.labels
+UNROLL = 4  # rows an unroll-and-jammed loop runs per pass
+
+
+@dataclass(frozen=True)
+class _Copy:
+    """How one copy of a loop body renders: the C expression of each
+    remapped axis label (a jammed copy runs its pass's row) and the C name
+    of each local, keyed by the result it holds."""
+    at: dict[str, str]
+    names: dict[str, str]
+
+
+def _index(storage: Storage, block: str | None = None,
+           at: dict[str, str] | None = None) -> str:
+    """Flat index expression; loop variables are the axis labels, unless
+    `at` renders a label otherwise."""
+    labs = [(at or {}).get(lab, lab) for lab in storage.labels]
     exts = storage.extents
     if storage.order == "scalar":
         core = None
@@ -72,47 +115,73 @@ def _index(storage: Storage, block: str | None = None) -> str:
     return f"{block} * ({size}) + {core}"
 
 
+def _innermost(item) -> bool:
+    return isinstance(item, IRLoop) and all(
+        isinstance(s, IRStmt) for s in item.body)
+
+
 class _Emitter:
     def __init__(self, ir: LoopIR):
         self.ir = ir
         self.graph = ir.graph
         self.w = _Writer()
-        self.declared_contracted: set[str] = set()
         # collision-safe local names for contracted scalars
-        self.scalar_names = {name: _unique(ir.storage, f"{name}_s")
-                             for name, s in ir.storage.items()
-                             if s.cls == "contracted"}
+        self.locals = {name: _unique(ir.storage, f"{name}_s")
+                       for name, s in ir.storage.items()
+                       if s.cls == "contracted"}
+        labels = sorted({a.label for op in self.graph.ops
+                         for a in op.nest.axes})
         # the kernel's own names, which the body's fixed names must avoid
-        self.taken = {*ir.storage, *self.scalar_names.values(),
-                      *self.graph.extent_names,
-                      *(a.label for op in self.graph.ops for a in op.nest.axes)}
+        self.taken = {*ir.storage, *self.locals.values(),
+                      *self.graph.extent_names, *labels}
+        # scalar-replacement accumulators for reductions into memory
+        for op in self.graph.ops:
+            if op.nest.reduction_axis is not None \
+                    and op.result not in self.locals:
+                self.locals[op.result] = self.fresh(f"{op.result}_r")
+        # each local's name in every copy of an unroll-and-jammed body, and
+        # the variables holding a jammed pass's rows
+        self.copy_names = {
+            name: tuple(self.fresh(f"{local}{u}") for u in range(UNROLL))
+            for name, local in self.locals.items()}
+        self.rows = {lab: (lab,) + tuple(self.fresh(f"{lab}{u}")
+                                         for u in range(1, UNROLL))
+                     for lab in labels}
+        self.plain = _Copy({}, self.locals)
 
     def name(self, want: str) -> str:
         """`want`, or `want` plus underscores when the kernel uses it."""
         return _unique(self.taken, want)
 
+    def fresh(self, want: str) -> str:
+        """A local name of the body's own, reserved against later names."""
+        name = self.name(want)
+        self.taken.add(name)
+        return name
+
     # -- reference rendering -------------------------------------------------
 
-    def ref(self, name: str, block: str | None = None) -> str:
+    def ref(self, name: str, c: _Copy) -> str:
         s = self.ir.storage[name]
         if s.cls == "contracted":
-            return self.scalar_names[name]
+            return c.names[name]
         if s.order == "scalar":
             if s.cls == "output":
                 return f"(*{name})"
             return name
-        if s.cls == "partial":
-            return f"{name}[{_index(s, block)}]"
-        return f"{name}[{_index(s)}]"
+        return f"{name}[{_index(s, at=c.at)}]"
 
     # -- statements -----------------------------------------------------------
 
-    def emit_stmt(self, stmt: IRStmt, block: str | None, in_region: bool):
+    def emit_stmt(self, stmt: IRStmt, block: str | None, in_region: bool,
+                  c: _Copy, local: bool = False):
+        """One statement in copy `c`; `local` accumulates it in its
+        scalar-replacement local instead of its memory target."""
         if stmt.role == "init":
-            self.emit_init(stmt, block)
+            self.emit_init(stmt, block, c)
             return
         op = self.graph.op(stmt.op_id)
-        operands = [self.ref(r.name) for r in op.operands]
+        operands = [self.ref(r.name, c) for r in op.operands]
         if op.kind == "copy":
             expr = operands[0]
         elif op.kind == "add":
@@ -121,60 +190,153 @@ class _Emitter:
             expr = f"{operands[0]} - {operands[1]}"
         else:  # scale | multiply
             expr = f"{operands[0]} * {operands[1]}"
-        accum = op.nest.reduction_axis is not None
-        target = self.target_ref(op, block, in_region)
-        res = self.ir.storage[op.result]
-        if (res.cls == "contracted" and not accum
-                and op.result not in self.declared_contracted):
-            self.declared_contracted.add(op.result)
-            self.w.put(f"double {target} = {expr};")
-        elif accum:
+        target = c.names[op.result] if local \
+            else self.target_ref(op, block, in_region, c)
+        if op.nest.reduction_axis is not None:
             self.w.put(f"{target} += {expr};")
+        elif self.ir.storage[op.result].cls == "contracted":
+            self.w.put(f"double {target} = {expr};")
         else:
             self.w.put(f"{target} = {expr};")
 
-    def target_ref(self, op: OpNode, block: str | None, in_region: bool) -> str:
+    def target_ref(self, op: OpNode, block: str | None, in_region: bool,
+                   c: _Copy) -> str:
         partial = self.ir.partial_for(op.result) if in_region else None
         if partial is not None:
-            return f"{partial.name}[{_index(partial, block)}]"
-        return self.ref(op.result)
+            return f"{partial.name}[{_index(partial, block, c.at)}]"
+        return self.ref(op.result, c)
 
-    def emit_init(self, stmt: IRStmt, block: str | None):
+    def emit_init(self, stmt: IRStmt, block: str | None, c: _Copy):
         name = stmt.target
         s = self.ir.storage[name]
         if s.cls == "partial":
-            self.w.put(f"{name}[{_index(s, block)}] = 0.0;")
+            self.w.put(f"{name}[{_index(s, block, c.at)}] = 0.0;")
         elif s.cls == "contracted":
-            local = self.scalar_names[name]
-            if name in self.declared_contracted:
-                self.w.put(f"{local} = 0.0;")
-            else:
-                self.declared_contracted.add(name)
-                self.w.put(f"double {local} = 0.0;")
+            self.w.put(f"double {c.names[name]} = 0.0;")
         else:
-            self.w.put(f"{self.ref(name)} = 0.0;")
+            self.w.put(f"{self.ref(name, c)} = 0.0;")
 
     # -- structure -------------------------------------------------------------
 
-    def emit_items(self, items: list, block: str | None, in_region: bool):
+    def emit_items(self, items: list, block: str | None, in_region: bool,
+                   copies: tuple[_Copy, ...] = ()):
+        """`items` once per copy (once, plainly, by default); the copies of
+        an innermost loop share one loop."""
+        copies = copies or (self.plain,)
         for item in items:
             if isinstance(item, IRStmt):
-                self.emit_stmt(item, block, in_region)
+                for c in copies:
+                    self.emit_stmt(item, block, in_region, c)
+            elif _innermost(item):
+                self.emit_innermost(item, block, in_region, copies)
             elif isinstance(item, IRLoop):
                 self.emit_loop(item, block, in_region)
             else:
                 self.emit_region(item)
 
-    def emit_loop(self, loop: IRLoop, block: str | None, in_region: bool):
-        v = loop.axis
+    def bounds(self, loop: IRLoop) -> tuple[str, str]:
         if loop.sliced:
-            lo, hi = self.name(f"{v}_lo"), self.name(f"{v}_hi")
-            rng = f"long {v} = {lo}; {v} < {hi}; ++{v}"
-        else:
-            rng = f"long {v} = 0; {v} < {loop.extent}; ++{v}"
-        self.w.open(f"for ({rng})")
+            return self.name(f"{loop.axis}_lo"), self.name(f"{loop.axis}_hi")
+        return "0", loop.extent
+
+    def reduces_over(self, stmt: IRStmt, axis: str) -> bool:
+        return stmt.role == "compute" \
+            and self.graph.op(stmt.op_id).nest.reduction_axis == axis
+
+    def sums(self, loop: IRLoop) -> list[OpNode]:
+        """The ops an innermost loop reduces over its own axis into memory:
+        scalar replacement accumulates each in a local."""
+        ops = (self.graph.op(s.op_id) for s in loop.body
+               if self.reduces_over(s, loop.axis))
+        return [op for op in ops
+                if self.ir.storage[op.result].cls != "contracted"]
+
+    def emit_innermost(self, loop: IRLoop, block: str | None, in_region: bool,
+                       copies: tuple[_Copy, ...]):
+        """One loop running each copy's statements in turn.  Each of its
+        sums starts at 0.0 in a local that is stored to its target after
+        the loop.  Lowering zeroes that target just before the loop, so the
+        local makes the same additions in the same order, and the stored
+        sum equals 0.0 plus it (a sum that starts at +0.0 is never -0.0)."""
+        v = loop.axis
+        lo, hi = self.bounds(loop)
+        sums = self.sums(loop)
+        summed = {op.op_id for op in sums}
+        for c in copies:
+            for op in sums:
+                self.w.put(f"double {c.names[op.result]} = 0.0;")
+        self.w.open(f"for (long {v} = {lo}; {v} < {hi}; ++{v})")
+        for c in copies:
+            for s in loop.body:
+                self.emit_stmt(s, block, in_region, c,
+                               local=s.op_id in summed)
+        self.w.close()
+        for c in copies:
+            for op in sums:
+                self.w.put(f"{self.target_ref(op, block, in_region, c)} = "
+                           f"{c.names[op.result]};")
+
+    def jammable(self, loop: IRLoop) -> bool:
+        """A loop whose body holds statements and innermost loops only, at
+        least one of them reducing over its own axis, and nothing reducing
+        over this loop's axis: by the fusion rules' reduction barrier its
+        rows then share nothing, so each can be computed on its own."""
+        inner = [it for it in loop.body if not isinstance(it, IRStmt)]
+        stmts = [s for it in loop.body
+                 for s in (it.body if isinstance(it, IRLoop) else (it,))]
+        return all(_innermost(it) for it in inner) \
+            and not any(self.reduces_over(s, loop.axis) for s in stmts) \
+            and any(self.reduces_over(s, it.axis)
+                    for it in inner for s in it.body)
+
+    def emit_loop(self, loop: IRLoop, block: str | None, in_region: bool):
+        if self.jammable(loop):
+            self.emit_jammed(loop, block, in_region)
+            return
+        v = loop.axis
+        lo, hi = self.bounds(loop)
+        self.w.open(f"for (long {v} = {lo}; {v} < {hi}; ++{v})")
         self.emit_items(loop.body, block, in_region)
         self.w.close()
+
+    def emit_jammed(self, loop: IRLoop, block: str | None, in_region: bool):
+        """UNROLL rows per pass: copy u of each body item runs the pass's
+        row u, and the copies of each inner loop share one loop.  The locals
+        the body declares get one name per copy; those declared outside it
+        stay shared.  Row u is `v + u` clamped to the last row, so one loop
+        covers any number of rows: a copy past the end computes the last
+        row again and stores the same values over it."""
+        v = loop.axis
+        lo, hi = self.bounds(loop)
+        own = self.declared(loop.body)
+        rows = self.rows[v]
+        copies = tuple(
+            _Copy({v: row},
+                  {name: self.copy_names[name][u] if name in own else local
+                   for name, local in self.locals.items()})
+            for u, row in enumerate(rows))
+        # `+=` in the emitted C marks accumulations only
+        self.w.open(f"for (long {v} = {lo}; {v} < {hi}; {v} = {v} + {UNROLL})")
+        for u, row in enumerate(rows[1:], 1):
+            self.w.put(f"long {row} = {v} + {u} < {hi} ? {v} + {u} : "
+                       f"{hi} - 1;")
+        self.emit_items(loop.body, block, in_region, copies)
+        self.w.close()
+
+    def declared(self, items: list) -> set[str]:
+        """The results whose locals `items` declare: contracted scalars
+        zeroed or defined there and the sums of their innermost loops."""
+        out: set[str] = set()
+        for item in items:
+            if isinstance(item, IRLoop):
+                out |= self.declared(item.body)
+                if _innermost(item):
+                    out |= {op.result for op in self.sums(item)}
+            elif item.role == "init":
+                out.add(item.target)
+            elif self.graph.op(item.op_id).nest.reduction_axis is None:
+                out.add(self.graph.op(item.op_id).result)
+        return out & self.locals.keys()
 
     def emit_region(self, region: IRParallel):
         t = region.threads
@@ -210,7 +372,7 @@ class _Emitter:
             self.w.open(f"for (long {b} = 1; {b} < {t}; ++{b})")
             self.w.put(f"{acc} += {p.name}[{b}];")
             self.w.close()
-            self.w.put(f"{self.ref(result)} = {acc};")
+            self.w.put(f"{self.ref(result, self.plain)} = {acc};")
             return
         assert len(p.extents) == 1, "only vector/scalar reductions join"
         lab, ext = p.labels[0], p.extents[0]
@@ -220,7 +382,7 @@ class _Emitter:
         self.w.open(f"for (long {b} = 1; {b} < {t}; ++{b})")
         self.w.put(f"{acc} += {p.name}[{b} * ({ext}) + {lab}];")
         self.w.close()
-        self.w.put(f"{self.ref(result)} = {acc};")
+        self.w.put(f"{self.ref(result, self.plain)} = {acc};")
         self.w.close()
 
 

@@ -129,6 +129,8 @@ class EmpiricalTimer:
                  source_filter=None):
         from .runtime import Toolchain
 
+        if reps < 1:
+            raise ValueError("reps must be at least 1")
         self.graph = graph
         self.toolchain = toolchain or Toolchain()
         self.extents = extents or {n: 1000 for n in graph.extent_names}

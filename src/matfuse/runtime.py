@@ -5,9 +5,10 @@ overridable via the MATFUSE_CC and MATFUSE_CC_TEMPLATE environment
 variables.  A candidate is built once, as the standalone binary whose
 main cemit emits, and that one binary is both validated and timed:
 
-- validation (`validation_error`): `binary <extents> <reps> <in> <out>`
-  reads the inputs as raw doubles in signature order from `in`, calls
-  the kernel once on NaN-filled outputs and writes them to `out`;
+- validation (`validation_outputs`, `validation_error`):
+  `binary <extents> <reps> <in> <out>` reads the inputs as raw doubles in
+  signature order from `in`, calls the kernel once on NaN-filled outputs
+  and writes them to `out`;
 - timing (`time_binary`): `binary <extents> <reps>` fills the inputs
   from a fixed LCG and prints "seconds <float>" and "checksum <float>".
 
@@ -254,15 +255,29 @@ def max_rel_error(got: dict, want: dict) -> float:
 def validation_error(binary: Path, graph: DataflowGraph,
                      extents: dict[str, int], seed: int) -> float:
     """Run a kernel binary (Toolchain.compile of the emitted source) once
-    in validation mode on seeded random inputs at `extents`, with its input
-    and output files beside it, and return its max relative error against
-    the reference evaluator.
+    in validation mode on seeded random inputs at `extents` and return its
+    max relative error against the reference evaluator.
 
     The binary fills the outputs with NaN before the call, so an output
     left unwritten fails.  A crash or a hang raises ToolchainError.
     """
     spec = graph.spec
     inputs = random_inputs(graph, extents, seed)
+    flat = validation_outputs(binary, graph, extents, inputs)
+    sizes = [_size(graph.data[name], extents) for name, _ in spec.outputs]
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    got = _unflatten(graph, dict(zip((n for n, _ in spec.outputs), parts)),
+                     extents)
+    return max_rel_error(got, interp.reference_evaluate(spec, inputs))
+
+
+def validation_outputs(binary: Path, graph: DataflowGraph,
+                       extents: dict[str, int], inputs: dict) -> np.ndarray:
+    """Run a kernel binary once in validation mode on `inputs`, with its
+    input and output files beside it, and return the raw doubles it wrote:
+    every output, flat, in signature order.  A crash, a hang or a short
+    write raises ToolchainError."""
+    spec = graph.spec
     src, dst = binary.parent / "inputs.f64", binary.parent / "outputs.f64"
     with src.open("wb") as fh:
         for name, _ in spec.inputs:
@@ -278,15 +293,16 @@ def validation_error(binary: Path, graph: DataflowGraph,
             "runtime-crash", f"kernel binary wrote {flat.size} of "
             f"{sum(sizes)} output values: {' '.join(argv)}"
         )
-    parts = np.split(flat, np.cumsum(sizes)[:-1])
-    got = _unflatten(graph, dict(zip((n for n, _ in spec.outputs), parts)),
-                     extents)
-    return max_rel_error(got, interp.reference_evaluate(spec, inputs))
+    return flat
 
 
 def time_binary(binary: Path, extents: dict[str, int],
                 extent_names: tuple[str, ...], reps: int = 5) -> float:
-    """Run the binary in timing mode, parse the minimum-seconds line."""
+    """Run the binary in timing mode, parse the minimum-seconds line.
+    With no timed rep main would print its initial 1e300, so `reps` must
+    be at least 1."""
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
     argv = [str(binary)] + [str(extents[n]) for n in extent_names] + [str(reps)]
     out = _run(argv, RUN_TIMEOUT_S, "runtime-crash", "kernel binary")
     for line in out.splitlines():

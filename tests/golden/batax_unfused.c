@@ -8,11 +8,28 @@
 void batax(const double *restrict x, double beta, const double *restrict A, double *restrict y, long M, long N) {
     double *t0 = (double *)malloc(sizeof(double) * (size_t)M);
     double *t1 = (double *)malloc(sizeof(double) * (size_t)N);
-    for (long i = 0; i < M; ++i) {
+    for (long i = 0; i < M; i = i + 4) {
+        long i1 = i + 1 < M ? i + 1 : M - 1;
+        long i2 = i + 2 < M ? i + 2 : M - 1;
+        long i3 = i + 3 < M ? i + 3 : M - 1;
         t0[i] = 0.0;
+        t0[i1] = 0.0;
+        t0[i2] = 0.0;
+        t0[i3] = 0.0;
+        double t0_r0 = 0.0;
+        double t0_r1 = 0.0;
+        double t0_r2 = 0.0;
+        double t0_r3 = 0.0;
         for (long j = 0; j < N; ++j) {
-            t0[i] += A[i * N + j] * x[j];
+            t0_r0 += A[i * N + j] * x[j];
+            t0_r1 += A[i1 * N + j] * x[j];
+            t0_r2 += A[i2 * N + j] * x[j];
+            t0_r3 += A[i3 * N + j] * x[j];
         }
+        t0[i] = t0_r0;
+        t0[i1] = t0_r1;
+        t0[i2] = t0_r2;
+        t0[i3] = t0_r3;
     }
     for (long j = 0; j < N; ++j) {
         t1[j] = 0.0;

@@ -179,7 +179,10 @@ class TestEmission:
 
     def test_unfused_loops_match_reference_pseudocode(self, batax):
         src = emit_c(lower(initial_forest(batax), batax)).source
-        assert "t0[i] += A[i * N + j] * x[j];" in src
+        lines = {line.strip() for line in src.splitlines()}
+        # t0's reduction over its own loop j accumulates in a local
+        assert "t0_r0 += A[i * N + j] * x[j];" in lines
+        assert "t0[i] = t0_r0;" in lines
         assert "t1[j] += A[i * N + j] * t0[i];" in src
         assert "y[j] = t1[j] * beta;" in src
 
@@ -267,6 +270,24 @@ def test_contracted_scalar_name_avoids_user_identifiers(toolchain):
     ir, kernel = build(g, org, {"M": 8})
     assert "double t0_s_" in kernel.source
     check_against_reference(g, org, {"M": 8}, toolchain)
+
+
+def test_register_block_locals_avoid_user_identifiers(toolchain):
+    # q's accumulator would be q_r, t0_s's third jammed copy t0_s2 and the
+    # third row of a jammed pass i2
+    g = infer_types(build_dataflow(parse_kernel(
+        "RB in: A : matrix(row), q_r : vector(column), "
+        "t0_s2 : vector(column), i2 : vector(column) "
+        "out: q : vector(column), z : vector(column) "
+        "{ q = A * q_r  z = A * t0_s2 + i2 }")))
+    org = max_fuse(g, 2)
+    ir, kernel = build(g, org, {"M": 14, "N": 5})
+    for decl in ("double q_r_0 = 0.0;", "double t0_s2_ = 0.0;",
+                 "double t0_s3 = 0.0;",
+                 "long i2_ = i + 2 < i_hi ? i + 2 : i_hi - 1;"):
+        assert decl in kernel.source
+    # blocks of 7 rows: a full pass of 4 rows and a clamped pass of 3
+    check_against_reference(g, org, {"M": 14, "N": 5}, toolchain)
 
 
 class TestTimingMain:

@@ -10,8 +10,10 @@ from matfuse import cli, runtime
 from matfuse.cost import (
     EmpiricalTimer, MachineModel, cached, estimate_cost, measure_empirical,
 )
+from matfuse.cemit import emit_c
 from matfuse.corpus import kernel_path
 from matfuse.fuse import Organism, parse_notation, initial_forest, with_threads
+from matfuse.lower import lower
 from matfuse.runtime import Toolchain, max_rel_error
 from matfuse.search import SearchConfig, max_fuse, run_strategy
 
@@ -183,6 +185,18 @@ class TestEmpirical:
         timer = EmpiricalTimer(batax, toolchain, {"M": 64, "N": 64}, reps=1)
         report = timer(initial_forest(batax))
         assert report.source == "empirical" and not report.failed
+
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_fewer_than_one_rep_is_rejected(self, batax, toolchain, tmp_path,
+                                            reps):
+        # with no timed rep, main would print its initial 1e300 as seconds
+        with pytest.raises(ValueError, match="reps"):
+            EmpiricalTimer(batax, toolchain, {"M": 64, "N": 64}, reps=reps)
+        kernel = emit_c(lower(initial_forest(batax), batax))
+        binary = toolchain.compile(kernel.source, tmp_path)
+        with pytest.raises(ValueError, match="reps"):
+            runtime.time_binary(binary, {"M": 8, "N": 8}, batax.extent_names,
+                                reps=reps)
 
 
 def test_nan_outputs_never_validate():

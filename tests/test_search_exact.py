@@ -7,7 +7,8 @@ before the bitmask legality checks existed, and every verdict
 fusion_legal gives in those searches and in small-kernel enumeration to
 a digest taken before it shared its rules with the notation parser and
 joint_partitions, and the C emitted for a wide set of organisms to a
-digest taken before lowering placed its reduction bookkeeping in one walk.
+digest taken when the emitter register-blocked its loops, and the raw
+outputs of compiled kernels to a digest taken before that.
 """
 
 import hashlib
@@ -25,6 +26,7 @@ from matfuse.fuse import (
 from matfuse.graph import build_dataflow, infer_types
 from matfuse.lang import parse_kernel
 from matfuse.lower import contract_arrays, lower
+from matfuse.runtime import random_inputs, validation_outputs
 from matfuse.search import (
     SearchConfig, crossover, max_fuse, random_organism, run_strategy,
 )
@@ -36,13 +38,18 @@ SEARCH_LOG_DIGEST = \
 # and joint_partitions deferred to fusion_legal's rules
 LEGALITY_VERDICT_DIGEST = \
     "b20c9f67312d17e6b9ecc4d66edee126dacc61a46a822278782911cd71741eed"
-# sha256 of the C emitted for the organisms below, taken when main gained
-# its validation mode; the kernel functions (all before main's
-# MATFUSE_NO_MAIN guard) are byte-identical to those behind the previous
-# digest 493e5f71..., taken before lowering placed reduction inits and
-# partial buffers during its one tree walk
+# sha256 of the C emitted for the organisms below, taken when the emitter
+# gained scalar replacement and unroll-and-jam; everything from main's
+# MATFUSE_NO_MAIN guard on is byte-identical to the C behind the previous
+# digest 033b674b..., taken when main gained its validation mode, and
+# OUTPUT_DIGEST shows the kernels compute the same bits
 EMIT_DIGEST = \
-    "033b674b82563d7e4e0541d52f501aa148d860eaa0f7b4fe7f1a71b45c318969"
+    "d1766f5e7f537c434ccc02fae81a3cdadb041549539737dd3f022bef0a631f47"
+# sha256 of the raw validation-mode output bytes of the kernels below,
+# taken before the emitter gained scalar replacement and unroll-and-jam:
+# neither may change the order of any element's additions
+OUTPUT_DIGEST = \
+    "8c1ffcd719a04d1cf11b94420f73f1e44a0dd1f8bb044de11adabc3279a19b98"
 
 
 def test_root_local_check_equals_full_check(monkeypatch):
@@ -167,3 +174,34 @@ def emit_digest() -> str:
 
 def test_emitted_c_unchanged():
     assert emit_digest() == EMIT_DIGEST
+
+
+def output_digest(toolchain, tmp_path) -> str:
+    """sha256 of the raw output doubles written in validation mode by the
+    contracted C of the initial forest, max-fuse at 2 and 3 cores and 2
+    seeded random organisms of every bundled kernel, each built once and
+    run at extents (37, 23) and (5, 3): blocks whose rows are not a
+    multiple of a register block's four, and blocks of fewer rows."""
+    h = hashlib.sha256()
+    for name in available():
+        g = load_graph(name)
+        rng = random.Random(f"output {name}")
+        orgs = [initial_forest(g), max_fuse(g, 2), max_fuse(g, 3)]
+        orgs += [random_organism(g, rng, SearchConfig(core_count=3))
+                 for _ in range(2)]
+        for n, org in enumerate(orgs):
+            kernel = emit_c(contract_arrays(lower(org, g)))
+            wd = tmp_path / f"{name}{n}"
+            wd.mkdir()
+            binary = toolchain.compile(kernel.source, wd)
+            for sizes in ((37, 23), (5, 3)):
+                extents = dict(zip(g.extent_names, sizes))
+                flat = validation_outputs(binary, g, extents,
+                                          random_inputs(g, extents, seed=11))
+                h.update(f"{name} {canonical_key(org)} {sizes}\n".encode())
+                h.update(flat.tobytes())
+    return h.hexdigest()
+
+
+def test_kernel_outputs_unchanged(toolchain, tmp_path):
+    assert output_digest(toolchain, tmp_path) == OUTPUT_DIGEST
