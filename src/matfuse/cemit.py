@@ -19,11 +19,17 @@ Two register-level transforms shape the loops (Carr & Kennedy, TOPLAS
 - unroll-and-jam by UNROLL: a loop whose body holds only statements and
   innermost loops, one of which reduces over its own axis, and in which
   nothing reduces over the loop's own axis, runs UNROLL rows per pass.
-  Copy u of each body item runs the pass's row u, the copies of each
-  inner loop share one loop (copy 0's statements, then copy 1's, ...),
-  and the locals the body declares get one name per copy.  Row u is
-  `i + u` clamped to the last row, so the loop needs no remainder loop
-  and covers blocks of any size, fewer than UNROLL rows included.
+
+Every loop is one pass over copies of its body: copy u of each item runs
+the pass's row u, the copies of an inner loop share one loop (copy 0's
+statements, then copy 1's, ...), and each copy has its own name for each
+local.  A plain loop is one copy stepping one row; a jammed loop is
+UNROLL copies whose row u, `i + u`, is clamped to the last row, so it
+needs no remainder loop and covers blocks of any size.  Renaming every
+local per copy is sound because an operation iterates at most two axes
+(type inference rejects a matrix-matrix product): a jammed loop, having
+inner loops, is the outermost loop of its nests, so its body declares
+every local it uses.
 
 Neither transform changes the order of any element's additions, so
 outputs are bit-identical to those of the plain loops.  Lowering zeroes
@@ -55,9 +61,7 @@ from .lower import IRLoop, IRParallel, IRStmt, LoopIR, Storage, _unique
 class GeneratedKernel:
     source: str
     kernel_name: str
-    params: tuple[tuple[str, str], ...]  # (C declaration, logical name)
     organism_key: str
-    threads: tuple[int, ...]
 
 
 class _Writer:
@@ -78,6 +82,24 @@ class _Writer:
 
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"
+
+
+class _Names:
+    """The C names of one scope: `want`, or `want` plus underscores while
+    the scope has that taken."""
+
+    def __init__(self, taken):
+        self.taken = set(taken)
+
+    def name(self, want: str) -> str:
+        """A name clear of the taken ones, left unreserved."""
+        return _unique(self.taken, want)
+
+    def fresh(self, want: str) -> str:
+        """A name clear of the taken ones, reserved against later names."""
+        name = self.name(want)
+        self.taken.add(name)
+        return name
 
 
 UNROLL = 4  # rows an unroll-and-jammed loop runs per pass
@@ -125,39 +147,33 @@ class _Emitter:
         self.ir = ir
         self.graph = ir.graph
         self.w = _Writer()
-        # collision-safe local names for contracted scalars
-        self.locals = {name: _unique(ir.storage, f"{name}_s")
-                       for name, s in ir.storage.items()
-                       if s.cls == "contracted"}
+        self.partials = {s.base: s for s in ir.storage.values()
+                         if s.cls == "partial"}
+        self.block: str | None = None  # the open region's block variable
         labels = sorted({a.label for op in self.graph.ops
                          for a in op.nest.axes})
         # the kernel's own names, which the body's fixed names must avoid
-        self.taken = {*ir.storage, *self.locals.values(),
-                      *self.graph.extent_names, *labels}
-        # scalar-replacement accumulators for reductions into memory
+        self.names = _Names({*ir.storage, *self.graph.extent_names, *labels})
+        # a local per contracted scalar and a scalar-replacement
+        # accumulator per reduction into memory
+        local = {name: self.names.fresh(f"{name}_s")
+                 for name, s in ir.storage.items() if s.cls == "contracted"}
         for op in self.graph.ops:
-            if op.nest.reduction_axis is not None \
-                    and op.result not in self.locals:
-                self.locals[op.result] = self.fresh(f"{op.result}_r")
-        # each local's name in every copy of an unroll-and-jammed body, and
-        # the variables holding a jammed pass's rows
-        self.copy_names = {
-            name: tuple(self.fresh(f"{local}{u}") for u in range(UNROLL))
-            for name, local in self.locals.items()}
-        self.rows = {lab: (lab,) + tuple(self.fresh(f"{lab}{u}")
-                                         for u in range(1, UNROLL))
-                     for lab in labels}
-        self.plain = _Copy({}, self.locals)
-
-    def name(self, want: str) -> str:
-        """`want`, or `want` plus underscores when the kernel uses it."""
-        return _unique(self.taken, want)
-
-    def fresh(self, want: str) -> str:
-        """A local name of the body's own, reserved against later names."""
-        name = self.name(want)
-        self.taken.add(name)
-        return name
+            if op.nest.reduction_axis is not None and op.result not in local:
+                local[op.result] = self.names.fresh(f"{op.result}_r")
+        self.plain = _Copy({}, local)
+        # the copies of a loop jammed over each label
+        per_copy = {name: [self.names.fresh(f"{base}{u}")
+                           for u in range(UNROLL)]
+                    for name, base in local.items()}
+        self.jam = {}
+        for lab in labels:
+            rows = (lab,) + tuple(self.names.fresh(f"{lab}{u}")
+                                  for u in range(1, UNROLL))
+            self.jam[lab] = tuple(
+                _Copy({lab: row}, {name: names[u]
+                                   for name, names in per_copy.items()})
+                for u, row in enumerate(rows))
 
     # -- reference rendering -------------------------------------------------
 
@@ -173,12 +189,11 @@ class _Emitter:
 
     # -- statements -----------------------------------------------------------
 
-    def emit_stmt(self, stmt: IRStmt, block: str | None, in_region: bool,
-                  c: _Copy, local: bool = False):
+    def emit_stmt(self, stmt: IRStmt, c: _Copy, local: bool = False):
         """One statement in copy `c`; `local` accumulates it in its
         scalar-replacement local instead of its memory target."""
         if stmt.role == "init":
-            self.emit_init(stmt, block, c)
+            self.emit_init(stmt, c)
             return
         op = self.graph.op(stmt.op_id)
         operands = [self.ref(r.name, c) for r in op.operands]
@@ -190,8 +205,7 @@ class _Emitter:
             expr = f"{operands[0]} - {operands[1]}"
         else:  # scale | multiply
             expr = f"{operands[0]} * {operands[1]}"
-        target = c.names[op.result] if local \
-            else self.target_ref(op, block, in_region, c)
+        target = c.names[op.result] if local else self.target_ref(op, c)
         if op.nest.reduction_axis is not None:
             self.w.put(f"{target} += {expr};")
         elif self.ir.storage[op.result].cls == "contracted":
@@ -199,18 +213,20 @@ class _Emitter:
         else:
             self.w.put(f"{target} = {expr};")
 
-    def target_ref(self, op: OpNode, block: str | None, in_region: bool,
-                   c: _Copy) -> str:
-        partial = self.ir.partial_for(op.result) if in_region else None
+    def target_ref(self, op: OpNode, c: _Copy) -> str:
+        """Where `op` stores: its partial buffer's slot for the open
+        region's block (an op with a partial only sits in its region), or
+        its result."""
+        partial = self.partials.get(op.result)
         if partial is not None:
-            return f"{partial.name}[{_index(partial, block, c.at)}]"
+            return f"{partial.name}[{_index(partial, self.block, c.at)}]"
         return self.ref(op.result, c)
 
-    def emit_init(self, stmt: IRStmt, block: str | None, c: _Copy):
+    def emit_init(self, stmt: IRStmt, c: _Copy):
         name = stmt.target
         s = self.ir.storage[name]
         if s.cls == "partial":
-            self.w.put(f"{name}[{_index(s, block, c.at)}] = 0.0;")
+            self.w.put(f"{name}[{_index(s, self.block, c.at)}] = 0.0;")
         elif s.cls == "contracted":
             self.w.put(f"double {c.names[name]} = 0.0;")
         else:
@@ -218,49 +234,44 @@ class _Emitter:
 
     # -- structure -------------------------------------------------------------
 
-    def emit_items(self, items: list, block: str | None, in_region: bool,
-                   copies: tuple[_Copy, ...] = ()):
+    def emit_items(self, items: list, copies: tuple[_Copy, ...] = ()):
         """`items` once per copy (once, plainly, by default); the copies of
         an innermost loop share one loop."""
         copies = copies or (self.plain,)
         for item in items:
             if isinstance(item, IRStmt):
                 for c in copies:
-                    self.emit_stmt(item, block, in_region, c)
+                    self.emit_stmt(item, c)
             elif _innermost(item):
-                self.emit_innermost(item, block, in_region, copies)
+                self.emit_innermost(item, copies)
             elif isinstance(item, IRLoop):
-                self.emit_loop(item, block, in_region)
+                self.emit_loop(item)
             else:
                 self.emit_region(item)
 
     def bounds(self, loop: IRLoop) -> tuple[str, str]:
         if loop.sliced:
-            return self.name(f"{loop.axis}_lo"), self.name(f"{loop.axis}_hi")
+            return (self.names.name(f"{loop.axis}_lo"),
+                    self.names.name(f"{loop.axis}_hi"))
         return "0", loop.extent
 
     def reduces_over(self, stmt: IRStmt, axis: str) -> bool:
         return stmt.role == "compute" \
             and self.graph.op(stmt.op_id).nest.reduction_axis == axis
 
-    def sums(self, loop: IRLoop) -> list[OpNode]:
-        """The ops an innermost loop reduces over its own axis into memory:
-        scalar replacement accumulates each in a local."""
-        ops = (self.graph.op(s.op_id) for s in loop.body
-               if self.reduces_over(s, loop.axis))
-        return [op for op in ops
-                if self.ir.storage[op.result].cls != "contracted"]
-
-    def emit_innermost(self, loop: IRLoop, block: str | None, in_region: bool,
-                       copies: tuple[_Copy, ...]):
+    def emit_innermost(self, loop: IRLoop, copies: tuple[_Copy, ...]):
         """One loop running each copy's statements in turn.  Each of its
-        sums starts at 0.0 in a local that is stored to its target after
-        the loop.  Lowering zeroes that target just before the loop, so the
-        local makes the same additions in the same order, and the stored
-        sum equals 0.0 plus it (a sum that starts at +0.0 is never -0.0)."""
+        sums (a reduction over the loop's own axis into memory) starts at
+        0.0 in a local that is stored to its target after the loop.
+        Lowering zeroes that target just before the loop, so the local
+        makes the same additions in the same order, and the stored sum
+        equals 0.0 plus it (a sum that starts at +0.0 is never -0.0)."""
         v = loop.axis
         lo, hi = self.bounds(loop)
-        sums = self.sums(loop)
+        ops = (self.graph.op(s.op_id) for s in loop.body
+               if self.reduces_over(s, v))
+        sums = [op for op in ops
+                if self.ir.storage[op.result].cls != "contracted"]
         summed = {op.op_id for op in sums}
         for c in copies:
             for op in sums:
@@ -268,13 +279,11 @@ class _Emitter:
         self.w.open(f"for (long {v} = {lo}; {v} < {hi}; ++{v})")
         for c in copies:
             for s in loop.body:
-                self.emit_stmt(s, block, in_region, c,
-                               local=s.op_id in summed)
+                self.emit_stmt(s, c, local=s.op_id in summed)
         self.w.close()
         for c in copies:
             for op in sums:
-                self.w.put(f"{self.target_ref(op, block, in_region, c)} = "
-                           f"{c.names[op.result]};")
+                self.w.put(f"{self.target_ref(op, c)} = {c.names[op.result]};")
 
     def jammable(self, loop: IRLoop) -> bool:
         """A loop whose body holds statements and innermost loops only, at
@@ -289,60 +298,29 @@ class _Emitter:
             and any(self.reduces_over(s, it.axis)
                     for it in inner for s in it.body)
 
-    def emit_loop(self, loop: IRLoop, block: str | None, in_region: bool):
-        if self.jammable(loop):
-            self.emit_jammed(loop, block, in_region)
-            return
+    def emit_loop(self, loop: IRLoop):
+        """One pass over the loop's copies: a jammable loop's UNROLL rows,
+        copy u's row `v + u` clamped to the last row, else the plain copy."""
         v = loop.axis
         lo, hi = self.bounds(loop)
-        self.w.open(f"for (long {v} = {lo}; {v} < {hi}; ++{v})")
-        self.emit_items(loop.body, block, in_region)
-        self.w.close()
-
-    def emit_jammed(self, loop: IRLoop, block: str | None, in_region: bool):
-        """UNROLL rows per pass: copy u of each body item runs the pass's
-        row u, and the copies of each inner loop share one loop.  The locals
-        the body declares get one name per copy; those declared outside it
-        stay shared.  Row u is `v + u` clamped to the last row, so one loop
-        covers any number of rows: a copy past the end computes the last
-        row again and stores the same values over it."""
-        v = loop.axis
-        lo, hi = self.bounds(loop)
-        own = self.declared(loop.body)
-        rows = self.rows[v]
-        copies = tuple(
-            _Copy({v: row},
-                  {name: self.copy_names[name][u] if name in own else local
-                   for name, local in self.locals.items()})
-            for u, row in enumerate(rows))
+        copies = self.jam[v] if self.jammable(loop) else (self.plain,)
         # `+=` in the emitted C marks accumulations only
-        self.w.open(f"for (long {v} = {lo}; {v} < {hi}; {v} = {v} + {UNROLL})")
-        for u, row in enumerate(rows[1:], 1):
-            self.w.put(f"long {row} = {v} + {u} < {hi} ? {v} + {u} : "
+        step = f"{v} = {v} + {len(copies)}" if len(copies) > 1 else f"++{v}"
+        self.w.open(f"for (long {v} = {lo}; {v} < {hi}; {step})")
+        for u, c in enumerate(copies[1:], 1):
+            self.w.put(f"long {c.at[v]} = {v} + {u} < {hi} ? {v} + {u} : "
                        f"{hi} - 1;")
-        self.emit_items(loop.body, block, in_region, copies)
+        self.emit_items(loop.body, copies)
         self.w.close()
-
-    def declared(self, items: list) -> set[str]:
-        """The results whose locals `items` declare: contracted scalars
-        zeroed or defined there and the sums of their innermost loops."""
-        out: set[str] = set()
-        for item in items:
-            if isinstance(item, IRLoop):
-                out |= self.declared(item.body)
-                if _innermost(item):
-                    out |= {op.result for op in self.sums(item)}
-            elif item.role == "init":
-                out.add(item.target)
-            elif self.graph.op(item.op_id).nest.reduction_axis is None:
-                out.add(self.graph.op(item.op_id).result)
-        return out & self.locals.keys()
 
     def emit_region(self, region: IRParallel):
+        """A parallel-for over the region's blocks.  Partitions sit only at
+        roots, so regions never nest and one block variable is open at a
+        time."""
         t = region.threads
-        block = self.name(f"p{region.slot}")
+        b = self.block = self.names.name(f"p{region.slot}")
         for result in region.partials:
-            p = self.ir.partial_for(result)
+            p = self.partials[result]
             size = " * ".join([str(t)] + [f"(size_t){e}" for e in p.extents])
             self.w.put(
                 f"double *{p.name} = (double *)malloc(sizeof(double) * "
@@ -351,57 +329,53 @@ class _Emitter:
         self.w.put(
             f"#pragma omp parallel for num_threads({t}) schedule(static)"
         )
-        self.w.open(f"for (long {block} = 0; {block} < {t}; ++{block})")
+        self.w.open(f"for (long {b} = 0; {b} < {t}; ++{b})")
         ax, ext = region.axis, region.extent
-        lo, hi = self.name(f"{ax}_lo"), self.name(f"{ax}_hi")
-        self.w.put(f"long {lo} = ({ext} * {block}) / {t};")
-        self.w.put(f"long {hi} = ({ext} * ({block} + 1)) / {t};")
-        self.emit_items(region.body, block, True)
+        lo, hi = self.names.name(f"{ax}_lo"), self.names.name(f"{ax}_hi")
+        self.w.put(f"long {lo} = ({ext} * {b}) / {t};")
+        self.w.put(f"long {hi} = ({ext} * ({b} + 1)) / {t};")
+        self.emit_items(region.body)
         self.w.close()
+        self.block = None
         for result in region.partials:
             self.emit_join(result, t)
         for result in region.partials:
-            self.w.put(f"free({self.ir.partial_for(result).name});")
+            self.w.put(f"free({self.partials[result].name});")
 
     def emit_join(self, result: str, t: int):
-        p = self.ir.partial_for(result)
-        b = self.name("b")
-        if not p.extents:  # scalar reduction
-            acc = self.name(f"{result}_acc")
-            self.w.put(f"double {acc} = {p.name}[0];")
-            self.w.open(f"for (long {b} = 1; {b} < {t}; ++{b})")
-            self.w.put(f"{acc} += {p.name}[{b}];")
-            self.w.close()
-            self.w.put(f"{self.ref(result, self.plain)} = {acc};")
-            return
-        assert len(p.extents) == 1, "only vector/scalar reductions join"
-        lab, ext = p.labels[0], p.extents[0]
-        acc = self.name("acc")
-        self.w.open(f"for (long {lab} = 0; {lab} < {ext}; ++{lab})")
-        self.w.put(f"double {acc} = {p.name}[{lab}];")
+        """Each element of `result` sums its blocks' partials in ascending
+        block order: a loop per axis of the result, around a loop over the
+        blocks."""
+        p = self.partials[result]
+        b = self.names.name("b")
+        acc = self.names.name("acc" if p.extents else f"{result}_acc")
+        for lab, ext in zip(p.labels, p.extents):
+            self.w.open(f"for (long {lab} = 0; {lab} < {ext}; ++{lab})")
+        self.w.put(f"double {acc} = {p.name}[{_index(p) or '0'}];")
         self.w.open(f"for (long {b} = 1; {b} < {t}; ++{b})")
-        self.w.put(f"{acc} += {p.name}[{b} * ({ext}) + {lab}];")
+        self.w.put(f"{acc} += {p.name}[{_index(p, b)}];")
         self.w.close()
         self.w.put(f"{self.ref(result, self.plain)} = {acc};")
-        self.w.close()
+        for _ in p.extents:
+            self.w.close()
 
 
-def kernel_params(graph: DataflowGraph) -> list[tuple[str, str]]:
-    """(C parameter declaration, name) in the fixed signature order."""
+def kernel_params(graph: DataflowGraph) -> list[str]:
+    """The C parameter declarations in the fixed signature order."""
     spec = graph.spec
-    params: list[tuple[str, str]] = []
+    params: list[str] = []
     for name, decl in spec.inputs:
         if decl.kind == "scalar":
-            params.append((f"double {name}", name))
+            params.append(f"double {name}")
         else:
-            params.append((f"const double *restrict {name}", name))
+            params.append(f"const double *restrict {name}")
     for name, decl in spec.outputs:
         if decl.kind == "scalar":
-            params.append((f"double *{name}", name))
+            params.append(f"double *{name}")
         else:
-            params.append((f"double *restrict {name}", name))
+            params.append(f"double *restrict {name}")
     for ext in graph.extent_names:
-        params.append((f"long {ext}", ext))
+        params.append(f"long {ext}")
     return params
 
 
@@ -431,7 +405,7 @@ def emit_c(ir: LoopIR, extents: dict[str, int] | None = None) -> GeneratedKernel
     w.put("#include <stdlib.h>")
     w.put("#include <time.h>")
     w.put()
-    w.open(f"void {kname}({', '.join(d for d, _ in params)})")
+    w.open(f"void {kname}({', '.join(params)})")
 
     # scalar temporaries up front, array temporaries on the heap
     for s in ir.storage.values():
@@ -443,16 +417,14 @@ def emit_c(ir: LoopIR, extents: dict[str, int] | None = None) -> GeneratedKernel
                 f"double *{s.name} = (double *)malloc(sizeof(double) * "
                 f"{_elements(s)});"
             )
-    em.emit_items(ir.roots, None, False)
+    em.emit_items(ir.roots)
     for s in ir.storage.values():
         if s.cls == "temp" and s.order != "scalar":
             w.put(f"free({s.name});")
     w.close()
     w.put()
     _emit_main(w, ir, kname, extents)
-    return GeneratedKernel(
-        w.text(), kname, tuple(params), key, ir.organism.threads
-    )
+    return GeneratedKernel(w.text(), kname, key)
 
 
 def _emit_main(w: _Writer, ir: LoopIR, kname: str, extents: dict[str, int]):
@@ -465,13 +437,8 @@ def _emit_main(w: _Writer, ir: LoopIR, kname: str, extents: dict[str, int]):
     spec = graph.spec
     names = graph.extent_names
     # main's own locals and helpers must not shadow the kernel's names
-    taken = {kname, *names, *(n for n, _ in spec.inputs + spec.outputs)}
-
-    def local(want: str) -> str:
-        name = _unique(taken, want)
-        taken.add(name)
-        return name
-
+    local = _Names({kname, *names,
+                    *(n for n, _ in spec.inputs + spec.outputs)}).fresh
     (rng_state, rnd, now, fill, to, count, source, argc, argv, reps, q, src,
      dst, nan, best, r, t0, dt, checksum) = map(
         local, ("rng_state_", "rnd_", "now_", "fill_", "to", "count",

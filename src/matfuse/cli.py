@@ -34,7 +34,7 @@ from .fuse import (
 from .graph import TypeCheckError, bits, build_dataflow, infer_types
 from .lang import KernelSpecError, KernelSyntaxError, free_vars, parse_kernel
 from .lower import contract_arrays, lower
-from .runtime import Toolchain, ToolchainError, validation_error
+from .runtime import REL_TOL, Toolchain, ToolchainError, validation_error
 from .search import STRATEGIES, SearchConfig, max_fuse, run_strategy
 
 logger = logging.getLogger(__name__)
@@ -166,7 +166,7 @@ def cmd_compile(args) -> int:
             return EXIT_TOOLCHAIN
         err = _validate(kernel, graph, extents, toolchain)
         print(f"validated against reference: max relative error {err:.3e}")
-        if not err < 1e-10:
+        if not err < REL_TOL:
             print("error: kernel output mismatch", file=sys.stderr)
             return EXIT_KERNEL
     return 0
@@ -238,7 +238,7 @@ def cmd_search(args) -> int:
         if toolchain.available:
             err = _validate(kernel, graph, extents, toolchain)
             print(f"validated best kernel: max relative error {err:.3e}")
-            if not err < 1e-10:
+            if not err < REL_TOL:
                 return EXIT_KERNEL
     return 0
 
@@ -319,7 +319,7 @@ def cmd_corpus(args) -> int:
                 err = _validate(_emit(org, graph, extents), graph, extents,
                                 toolchain)
                 entry["max_rel_error"] = err
-                entry["validated"] = bool(err < 1e-10)
+                entry["validated"] = bool(err < REL_TOL)
                 if not entry["validated"]:
                     failures.add(EXIT_KERNEL)
         except (KernelSyntaxError, KernelSpecError, TypeCheckError) as exc:

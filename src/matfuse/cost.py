@@ -168,7 +168,7 @@ def measure_empirical(org: Organism, graph: DataflowGraph, toolchain,
         with tempfile.TemporaryDirectory(prefix="matfuse-") as wd:
             binary = toolchain.compile(kernel.source, wd)
             err = runtime.validation_error(binary, graph, small, seed=7)
-            if not err < 1e-10:
+            if not err < runtime.REL_TOL:
                 return failure("numerical-mismatch",
                                f"max relative error {err:.3e}")
             seconds = runtime.time_binary(binary, extents, graph.extent_names,

@@ -778,8 +778,7 @@ def _root_shapes(ops: list[int], graph: DataflowGraph, limits: Limits):
     else:
         yield from _group_trees(ops, 0, graph)
     if limits.partitions:
-        for assignment in joint_partitions(ops, graph):
-            axis = next(iter(assignment.values())).axis
+        for axis in partition_axes(sum(1 << i for i in ops), graph):
             for combo in _sibling_tuples(ops, 0, graph):
                 yield PartitionNode(axis, 1, combo)  # enumerate_space sets the count
 

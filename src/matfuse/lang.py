@@ -108,9 +108,6 @@ class KernelSpec:
     outputs: tuple[tuple[str, DeclaredType], ...]
     statements: tuple[Assign, ...]
 
-    def declared(self) -> dict[str, DeclaredType]:
-        return dict(self.inputs) | dict(self.outputs)
-
 
 # ---------------------------------------------------------------------------
 # Lexer

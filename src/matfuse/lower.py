@@ -96,13 +96,6 @@ class LoopIR:
     def region_count(self) -> int:
         return sum(1 for it in self.roots if isinstance(it, IRParallel))
 
-    def partial_for(self, result: str) -> Storage | None:
-        """The per-thread partial buffer feeding `result`, if any."""
-        for s in self.storage.values():
-            if s.cls == "partial" and s.base == result:
-                return s
-        return None
-
 
 def _storage_for(graph: DataflowGraph) -> dict[str, Storage]:
     table: dict[str, Storage] = {}

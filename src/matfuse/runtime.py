@@ -13,12 +13,14 @@ main cemit emits, and that one binary is both validated and timed:
   from a fixed LCG and prints "seconds <float>" and "checksum <float>".
 
 Every compile and every run is a child in its own process group with a
-timeout (COMPILE_TIMEOUT_S, RUN_TIMEOUT_S).  A candidate that fails to
-compile, crashes or hangs therefore raises ToolchainError, whose `kind`
-names the failure, and cannot kill or stall its caller; a hung child is
-killed with its whole group.  `run_kernel` still calls a shared object
-(main compiled out) in-process through ctypes, for tests and the
-benchmark's own checks.
+timeout: COMPILE_TIMEOUT_S for a compile, RUN_TIMEOUT_S for a timing run,
+and for a validation run a limit that grows with the doubles it reads and
+writes (`validation_timeout`), since validation runs at small extents and
+takes milliseconds.  A candidate that fails to compile, crashes or hangs
+therefore raises ToolchainError, whose `kind` names the failure, and
+cannot kill or stall its caller; a hung child is killed with its whole
+group.  `run_kernel` still calls a shared object (main compiled out)
+in-process through ctypes, for tests and the benchmark's own checks.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ from .graph import DataflowGraph
 
 DEFAULT_TEMPLATE = "{cc} -O3 -fopenmp {src} -o {bin}"
 COMPILE_TIMEOUT_S = 120.0  # one compiler run; these kernels take well under 1 s
-RUN_TIMEOUT_S = 120.0  # one validation or timing run of a kernel binary
+RUN_TIMEOUT_S = 120.0  # one timing run; caps a validation run's limit
+REL_TOL = 1e-10  # the max relative error a validated kernel may show
 
 
 class ToolchainError(RuntimeError):
@@ -271,6 +274,13 @@ def validation_error(binary: Path, graph: DataflowGraph,
     return max_rel_error(got, interp.reference_evaluate(spec, inputs))
 
 
+def validation_timeout(doubles: int) -> float:
+    """The limit of a validation run that reads and writes `doubles`
+    values: 5 s for start-up and file traffic plus a microsecond per double
+    (these kernels stream far faster), capped at RUN_TIMEOUT_S."""
+    return min(RUN_TIMEOUT_S, 5.0 + doubles / 1e6)
+
+
 def validation_outputs(binary: Path, graph: DataflowGraph,
                        extents: dict[str, int], inputs: dict) -> np.ndarray:
     """Run a kernel binary once in validation mode on `inputs`, with its
@@ -282,10 +292,11 @@ def validation_outputs(binary: Path, graph: DataflowGraph,
     with src.open("wb") as fh:
         for name, _ in spec.inputs:
             _flatten(name, inputs[name], extents, graph.data[name]).tofile(fh)
-    argv = [str(binary)] + [str(extents[n]) for n in graph.extent_names]
-    _run(argv + ["1", str(src), str(dst)], RUN_TIMEOUT_S, "runtime-crash",
-         "kernel binary")
     sizes = [_size(graph.data[name], extents) for name, _ in spec.outputs]
+    doubles = src.stat().st_size // 8 + sum(sizes)
+    argv = [str(binary)] + [str(extents[n]) for n in graph.extent_names]
+    _run(argv + ["1", str(src), str(dst)], validation_timeout(doubles),
+         "runtime-crash", "kernel binary")
     flat = np.fromfile(dst, dtype=np.float64) if dst.exists() \
         else np.empty(0)
     if flat.size != sum(sizes):

@@ -297,6 +297,28 @@ class TestFaultIsolation:
                                             "out after 1 s")
         assert_nothing_left(tmp_path, children)
 
+    def test_validation_run_limit_follows_its_size(self, batax, toolchain,
+                                                   monkeypatch):
+        """A 64x64 validation run may take seconds, not the timing run's
+        RUN_TIMEOUT_S, so a hung candidate costs little."""
+        limits = []
+        real = runtime._run
+
+        def recorded(argv, timeout, kind, what):
+            limits.append((what, timeout))
+            return real(argv, timeout, kind, what)
+
+        monkeypatch.setattr(runtime, "_run", recorded)
+        report = measure_empirical(max_fuse(batax, 2), batax, toolchain,
+                                   {"M": 64, "N": 64}, reps=1)
+        assert not report.failed
+        (compile_, _), (validate, limit), (time_, timed) = limits
+        assert (compile_, validate, time_) == \
+            ("compile", "kernel binary", "kernel binary")
+        assert limit <= 10.0
+        assert timed == runtime.RUN_TIMEOUT_S
+        assert runtime.validation_timeout(10 ** 12) == runtime.RUN_TIMEOUT_S
+
 
 class TestOneCompilePerCandidate:
     @pytest.fixture
