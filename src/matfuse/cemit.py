@@ -17,32 +17,40 @@ Two register-level transforms shape the loops (Carr & Kennedy, TOPLAS
   `double` that starts at 0.0, and stores it to the target after the
   loop;
 - unroll-and-jam by UNROLL: a loop whose body holds only statements and
-  innermost loops, one of which reduces over its own axis, and in which
-  nothing reduces over the loop's own axis, runs UNROLL rows per pass.
+  innermost loops, one of which reduces over its own axis, runs UNROLL
+  rows per pass.
 
-Every loop is one pass over copies of its body: copy u of each item runs
-the pass's row u, the copies of an inner loop share one loop (copy 0's
-statements, then copy 1's, ...), and each copy has its own name for each
-local.  A plain loop is one copy stepping one row; a jammed loop is
-UNROLL copies whose row u, `i + u`, is clamped to the last row, so it
-needs no remainder loop and covers blocks of any size.  Renaming every
-local per copy is sound because an operation iterates at most two axes
-(type inference rejects a matrix-matrix product): a jammed loop, having
-inner loops, is the outermost loop of its nests, so its body declares
-every local it uses.
+Every loop is one pass, or two, over copies of its body: copy u of each
+item runs the pass's row u, the copies of an inner loop share one loop
+(copy 0's statements, then copy 1's, ...), and each copy has its own
+name for each local.  A plain loop is one copy stepping one row.  A
+jammed loop whose rows are independent is UNROLL copies whose row u,
+`i + u`, is clamped to the last row, so it needs no remainder loop and
+covers blocks of any size.  A jammed loop whose rows share a reduction
+over its own axis (ATAX's `y[j] +=` under `for i`) runs UNROLL exact
+rows per pass while UNROLL remain, then the plain copy over the last
+(rows mod UNROLL) rows in a tail loop that computes its own start.
+Renaming every local per copy is sound because an operation iterates at
+most two axes (type inference rejects a matrix-matrix product): a
+jammed loop, having inner loops, is the outermost loop of its nests, so
+its body declares every local it uses.
 
 Neither transform changes the order of any element's additions, so
 outputs are bit-identical to those of the plain loops.  Lowering zeroes
 a reduction's target just before its reduction loop, so a
 scalar-replacement local repeats the same additions from the same 0.0,
 and storing it equals adding it to that 0.0 (a sum that starts at +0.0 is
-never -0.0).  The fusion rules' reduction barrier means the rows of a
-loop share nothing but reductions over the loop's own axis; a jammed loop
-has none, so its rows are independent, and a clamped copy that computes
-the last row again stores the same values over it.  A loop that does
-reduce over its own axis (ATAX's `y[j] +=` under `for i`) would need a
-remainder loop, a second copy of the body that costs compile time, and
-is left plain.
+never -0.0); the zeroing, which that store overwrites, is left out.  The
+fusion rules' reduction barrier means the rows of a loop share nothing
+but reductions over the loop's own axis.  Without one the rows are
+independent, and a clamped copy that computes the last row again stores
+the same values over it.  With one, copy u's statements for an inner
+index j run after copy u-1's for the same j; a reduction over the row
+axis adds only into elements indexed by inner axes, and the barrier
+stops any other statement from reading them mid-sum, so each element
+still gets its additions in ascending row order, and the tail adds the
+last rows after all of them.  Each copy's own sums (ATAX's dot product
+`t0` per row) stay separate locals, so none of them is reordered either.
 
 Emission is deterministic: the same organism always yields byte-identical
 source.
@@ -236,18 +244,33 @@ class _Emitter:
 
     def emit_items(self, items: list, copies: tuple[_Copy, ...] = ()):
         """`items` once per copy (once, plainly, by default); the copies of
-        an innermost loop share one loop."""
+        an innermost loop share one loop.  A zeroing that the next
+        innermost loop's sum overwrites is dead and left out."""
         copies = copies or (self.plain,)
-        for item in items:
+        for k, item in enumerate(items):
             if isinstance(item, IRStmt):
-                for c in copies:
-                    self.emit_stmt(item, c)
+                if not self.overwritten(item, items[k + 1:]):
+                    for c in copies:
+                        self.emit_stmt(item, c)
             elif _innermost(item):
                 self.emit_innermost(item, copies)
             elif isinstance(item, IRLoop):
                 self.emit_loop(item)
             else:
                 self.emit_region(item)
+
+    def overwritten(self, stmt: IRStmt, rest: list) -> bool:
+        """Whether `stmt` zeroes a target (or a partial's base) that the
+        loop after it and its fellow inits sums in a local and then
+        stores over the zero."""
+        if stmt.role != "init":
+            return False
+        s = self.ir.storage[stmt.target]
+        after = next((it for it in rest
+                      if not (isinstance(it, IRStmt) and it.role == "init")),
+                     None)
+        return _innermost(after) and any(
+            op.result in (s.name, s.base) for op in self.sums(after))
 
     def bounds(self, loop: IRLoop) -> tuple[str, str]:
         if loop.sliced:
@@ -259,19 +282,24 @@ class _Emitter:
         return stmt.role == "compute" \
             and self.graph.op(stmt.op_id).nest.reduction_axis == axis
 
+    def sums(self, loop: IRLoop) -> list[OpNode]:
+        """The ops of an innermost loop that reduce over its axis into
+        memory: each accumulates in a local."""
+        ops = (self.graph.op(s.op_id) for s in loop.body
+               if self.reduces_over(s, loop.axis))
+        return [op for op in ops
+                if self.ir.storage[op.result].cls != "contracted"]
+
     def emit_innermost(self, loop: IRLoop, copies: tuple[_Copy, ...]):
         """One loop running each copy's statements in turn.  Each of its
-        sums (a reduction over the loop's own axis into memory) starts at
-        0.0 in a local that is stored to its target after the loop.
-        Lowering zeroes that target just before the loop, so the local
-        makes the same additions in the same order, and the stored sum
-        equals 0.0 plus it (a sum that starts at +0.0 is never -0.0)."""
+        sums starts at 0.0 in a local that is stored to its target after
+        the loop.  Lowering zeroes that target just before the loop (a
+        store emit_items leaves out), so the local makes the same
+        additions in the same order, and the stored sum equals 0.0 plus it
+        (a sum that starts at +0.0 is never -0.0)."""
         v = loop.axis
         lo, hi = self.bounds(loop)
-        ops = (self.graph.op(s.op_id) for s in loop.body
-               if self.reduces_over(s, v))
-        sums = [op for op in ops
-                if self.ir.storage[op.result].cls != "contracted"]
+        sums = self.sums(loop)
         summed = {op.op_id for op in sums}
         for c in copies:
             for op in sums:
@@ -287,29 +315,50 @@ class _Emitter:
 
     def jammable(self, loop: IRLoop) -> bool:
         """A loop whose body holds statements and innermost loops only, at
-        least one of them reducing over its own axis, and nothing reducing
-        over this loop's axis: by the fusion rules' reduction barrier its
-        rows then share nothing, so each can be computed on its own."""
+        least one of them reducing over its own axis."""
         inner = [it for it in loop.body if not isinstance(it, IRStmt)]
-        stmts = [s for it in loop.body
-                 for s in (it.body if isinstance(it, IRLoop) else (it,))]
         return all(_innermost(it) for it in inner) \
-            and not any(self.reduces_over(s, loop.axis) for s in stmts) \
             and any(self.reduces_over(s, it.axis)
                     for it in inner for s in it.body)
 
+    def shares_rows(self, loop: IRLoop) -> bool:
+        """Whether something in the loop reduces over the loop's own axis:
+        by the fusion rules' reduction barrier its rows share nothing
+        else."""
+        return any(self.reduces_over(s, loop.axis) for it in loop.body
+                   for s in (it.body if isinstance(it, IRLoop) else (it,)))
+
     def emit_loop(self, loop: IRLoop):
-        """One pass over the loop's copies: a jammable loop's UNROLL rows,
-        copy u's row `v + u` clamped to the last row, else the plain copy."""
+        """A plain loop, or a jammable loop's passes of UNROLL rows: with
+        independent rows one pass, copy u's row `v + u` clamped to the last
+        row; with rows that share a reduction, exact passes over the first
+        rows and a plain tail over the last (extent mod UNROLL) rows."""
         v = loop.axis
         lo, hi = self.bounds(loop)
-        copies = self.jam[v] if self.jammable(loop) else (self.plain,)
+        if not self.jammable(loop):
+            self.emit_pass(loop, lo, f"{v} < {hi}", (self.plain,), [])
+        elif not self.shares_rows(loop):
+            self.emit_pass(loop, lo, f"{v} < {hi}", self.jam[v], [
+                f"{v} + {u} < {hi} ? {v} + {u} : {hi} - 1"
+                for u in range(1, UNROLL)])
+        else:
+            self.emit_pass(loop, lo, f"{v} + {UNROLL - 1} < {hi}",
+                           self.jam[v],
+                           [f"{v} + {u}" for u in range(1, UNROLL)])
+            count = hi if lo == "0" else f"({hi} - {lo})"
+            self.emit_pass(loop, f"{hi} - {count} % {UNROLL}", f"{v} < {hi}",
+                           (self.plain,), [])
+
+    def emit_pass(self, loop: IRLoop, start: str, cond: str,
+                  copies: tuple[_Copy, ...], rows: list[str]):
+        """One loop over the loop's body from `start` while `cond`, each
+        step running one row per copy: copy u > 0 runs row `rows[u - 1]`."""
+        v = loop.axis
         # `+=` in the emitted C marks accumulations only
         step = f"{v} = {v} + {len(copies)}" if len(copies) > 1 else f"++{v}"
-        self.w.open(f"for (long {v} = {lo}; {v} < {hi}; {step})")
-        for u, c in enumerate(copies[1:], 1):
-            self.w.put(f"long {c.at[v]} = {v} + {u} < {hi} ? {v} + {u} : "
-                       f"{hi} - 1;")
+        self.w.open(f"for (long {v} = {start}; {cond}; {step})")
+        for c, row in zip(copies[1:], rows):
+            self.w.put(f"long {c.at[v]} = {row};")
         self.emit_items(loop.body, copies)
         self.w.close()
 

@@ -12,10 +12,14 @@ deterministically and cheaply.
 
 The empirical timer builds each candidate once, as a standalone binary,
 validates that binary against the reference evaluator at extents
-min(64, extent), and only then times it: a wrong-answer candidate never
-receives a finite fitness.  Both runs are child processes with a
-timeout, so a candidate that crashes or hangs costs one +inf fitness
-with a diagnostic and never ends or stalls the search.
+min(VALIDATION_EXTENT, extent), and only then times it: a wrong-answer
+candidate never receives a finite fitness.  VALIDATION_EXTENT is odd:
+at an extent that reaches it, the row blocks of a loop sum to an odd
+count, so at any thread count some block is not a multiple of a
+register block's four rows, and validation runs the emitter's clamped
+rows and tail loops.  Both runs are child processes with a timeout,
+so a candidate that crashes or hangs costs one +inf fitness with a
+diagnostic and never ends or stalls the search.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ logger = logging.getLogger(__name__)
 BYTES_PER_SCALAR = 8.0
 BANDWIDTH = 1.0  # per-core streaming rate, relative units
 PARTITION_OVERHEAD = 5000.0  # element-units per partition node
+VALIDATION_EXTENT = 61  # odd: some row block is ragged at any thread count
 
 
 @dataclass(frozen=True)
@@ -147,8 +152,9 @@ class EmpiricalTimer:
 def measure_empirical(org: Organism, graph: DataflowGraph, toolchain,
                       extents: dict[str, int], reps: int = 5,
                       source_filter=None) -> CostReport:
-    """Compile once, validate that binary at extents min(64, extent), then
-    time it at `extents`; +inf with a diagnostic on any failure."""
+    """Compile once, validate that binary at extents
+    min(VALIDATION_EXTENT, extent), then time it at `extents`; +inf with a
+    diagnostic on any failure."""
     from . import runtime
     from .cemit import emit_c
     from .lower import contract_arrays, lower
@@ -163,7 +169,7 @@ def measure_empirical(org: Organism, graph: DataflowGraph, toolchain,
     kernel = emit_c(contract_arrays(lower(org, graph)), extents)
     if source_filter is not None:
         kernel = replace(kernel, source=source_filter(kernel.source))
-    small = {n: min(64, extents[n]) for n in graph.extent_names}
+    small = {n: min(VALIDATION_EXTENT, extents[n]) for n in graph.extent_names}
     try:
         with tempfile.TemporaryDirectory(prefix="matfuse-") as wd:
             binary = toolchain.compile(kernel.source, wd)

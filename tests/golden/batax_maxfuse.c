@@ -15,7 +15,28 @@ void batax(const double *restrict x, double beta, const double *restrict A, doub
         for (long j = 0; j < N; ++j) {
             t1_part[p0 * (N) + j] = 0.0;
         }
-        for (long i = i_lo; i < i_hi; ++i) {
+        for (long i = i_lo; i + 3 < i_hi; i = i + 4) {
+            long i1 = i + 1;
+            long i2 = i + 2;
+            long i3 = i + 3;
+            double t0_s0 = 0.0;
+            double t0_s1 = 0.0;
+            double t0_s2 = 0.0;
+            double t0_s3 = 0.0;
+            for (long j = 0; j < N; ++j) {
+                t0_s0 += A[i * N + j] * x[j];
+                t0_s1 += A[i1 * N + j] * x[j];
+                t0_s2 += A[i2 * N + j] * x[j];
+                t0_s3 += A[i3 * N + j] * x[j];
+            }
+            for (long j = 0; j < N; ++j) {
+                t1_part[p0 * (N) + j] += A[i * N + j] * t0_s0;
+                t1_part[p0 * (N) + j] += A[i1 * N + j] * t0_s1;
+                t1_part[p0 * (N) + j] += A[i2 * N + j] * t0_s2;
+                t1_part[p0 * (N) + j] += A[i3 * N + j] * t0_s3;
+            }
+        }
+        for (long i = i_hi - (i_hi - i_lo) % 4; i < i_hi; ++i) {
             double t0_s = 0.0;
             for (long j = 0; j < N; ++j) {
                 t0_s += A[i * N + j] * x[j];

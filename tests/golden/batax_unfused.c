@@ -12,10 +12,6 @@ void batax(const double *restrict x, double beta, const double *restrict A, doub
         long i1 = i + 1 < M ? i + 1 : M - 1;
         long i2 = i + 2 < M ? i + 2 : M - 1;
         long i3 = i + 3 < M ? i + 3 : M - 1;
-        t0[i] = 0.0;
-        t0[i1] = 0.0;
-        t0[i2] = 0.0;
-        t0[i3] = 0.0;
         double t0_r0 = 0.0;
         double t0_r1 = 0.0;
         double t0_r2 = 0.0;

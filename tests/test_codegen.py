@@ -5,19 +5,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from matfuse import cemit
 from matfuse.cemit import emit_c
 from matfuse.corpus import available, load_graph
 from matfuse.fuse import (
     Limits, LoopNode, OpLeaf, Organism, PartitionNode, enumerate_space,
-    initial_forest, parse_notation,
+    fusion_legal, initial_forest, parse_notation,
 )
 from matfuse.graph import build_dataflow, infer_types
 from matfuse.interp import EvaluationError, reference_evaluate
 from matfuse.lang import parse_kernel
 from matfuse.lower import IRLoop, IRParallel, contract_arrays, lower
 from matfuse.runtime import (
-    max_rel_error, random_inputs, run_kernel, time_binary, validation_error,
-    workdir,
+    REL_TOL, max_rel_error, random_inputs, run_kernel, time_binary,
+    validation_error, validation_outputs, workdir,
 )
 from matfuse.search import SearchConfig, max_fuse, random_organism
 
@@ -288,6 +289,56 @@ def test_register_block_locals_avoid_user_identifiers(toolchain):
         assert decl in kernel.source
     # blocks of 7 rows: a full pass of 4 rows and a clamped pass of 3
     check_against_reference(g, org, {"M": 14, "N": 5}, toolchain)
+
+
+class TestSharedRowJam:
+    """A loop whose rows share a reduction over its own axis (ATAX's
+    `y[j] +=` under `for i`) runs exact four-row passes, then a tail loop
+    over the last rows."""
+
+    @pytest.mark.parametrize("name", ["atax", "batax", "bicgk"])
+    def test_jam_is_exact_at_every_row_count(self, name, toolchain,
+                                             tmp_path, monkeypatch):
+        """The output bytes equal the plain loops' (UNROLL 1) for every
+        row count from 0 to 9, in blocks of every size up to 9 rows."""
+        g = load_graph(name)
+        jammed = cemit.UNROLL
+        for cores in (1, 2, 3):
+            org = max_fuse(g, cores)
+            outs = []
+            for unroll in (jammed, 1):
+                monkeypatch.setattr(cemit, "UNROLL", unroll)
+                source = emit_c(contract_arrays(lower(org, g))).source
+                assert ("i + 3 < " in source) == (unroll == jammed)
+                wd = tmp_path / f"{cores}-{unroll}"
+                wd.mkdir()
+                binary = toolchain.compile(source, wd)
+                flat = []
+                for m in range(10):
+                    ext = {"M": m, "N": 5}
+                    flat.append(validation_outputs(
+                        binary, g, ext, random_inputs(g, ext, seed=m)))
+                outs.append(np.concatenate(flat).tobytes())
+            assert outs[0] == outs[1], (name, cores)
+
+    def test_two_tailed_loops_in_one_block(self, toolchain):
+        """Two such loops over one axis in one partition block each compute
+        their tail's start, so the block declares nothing twice."""
+        g = infer_types(build_dataflow(parse_kernel(
+            "TWO in: A : matrix(row), x : vector(column), "
+            "B : matrix(row), w : vector(column) "
+            "out: y : vector(column), z : vector(column) "
+            "{ y = A' * (A * x)  z = B' * (B * w) }")))
+        org = parse_notation("{_{p(i)}{_i{_j 1}{_j 2}}{_i{_j 3}{_j 4}}}", g,
+                             threads=3)
+        # A and B share no operand, so only the pruning heuristic objects
+        assert fusion_legal(org, g, require_shared_operand=False) is None
+        ext = {"M": 37, "N": 23}
+        ir, kernel = build(g, org, ext)
+        assert kernel.source.count(
+            "for (long i = i_hi - (i_hi - i_lo) % 4; i < i_hi; ++i)") == 2
+        binary = toolchain.compile(kernel.source, workdir())
+        assert validation_error(binary, g, ext, seed=3) < REL_TOL
 
 
 class TestTimingMain:

@@ -6,12 +6,12 @@ import tempfile
 import numpy as np
 import pytest
 
-from matfuse import cli, runtime
+from matfuse import cli, cost, runtime
 from matfuse.cost import (
     EmpiricalTimer, MachineModel, cached, estimate_cost, measure_empirical,
 )
 from matfuse.cemit import emit_c
-from matfuse.corpus import kernel_path
+from matfuse.corpus import kernel_path, load_graph
 from matfuse.fuse import Organism, parse_notation, initial_forest, with_threads
 from matfuse.lower import lower
 from matfuse.runtime import Toolchain, max_rel_error
@@ -197,6 +197,27 @@ class TestEmpirical:
         with pytest.raises(ValueError, match="reps"):
             runtime.time_binary(binary, {"M": 8, "N": 8}, batax.extent_names,
                                 reps=reps)
+
+
+def test_validation_runs_the_tail_rows(toolchain, monkeypatch):
+    """Validation at an odd extent splits ATAX's rows into blocks that
+    are not all multiples of four, so it runs the jammed loop's tail: an
+    emptied tail is a mismatch.  At 64 rows, two blocks of 32 have no
+    tail rows and the same candidate would validate."""
+    g = load_graph("atax")
+    tail = "for (long i = i_hi - (i_hi - i_lo) % 4; i < i_hi; ++i)"
+
+    def empty_tail(source):
+        assert tail in source
+        return source.replace(tail, "for (long i = i_hi; i < i_hi; ++i)")
+
+    timer = EmpiricalTimer(g, toolchain, {"M": 64, "N": 64}, reps=1,
+                           source_filter=empty_tail)
+    report = timer(max_fuse(g, 2))
+    assert report.failed
+    assert report.diagnostic.startswith("numerical-mismatch")
+    monkeypatch.setattr(cost, "VALIDATION_EXTENT", 64)
+    assert not timer(max_fuse(g, 2)).failed
 
 
 def test_nan_outputs_never_validate():

@@ -7,8 +7,9 @@ before the bitmask legality checks existed, and every verdict
 fusion_legal gives in those searches and in small-kernel enumeration to
 a digest taken before it shared its rules with the notation parser and
 joint_partitions, and the C emitted for a wide set of organisms to a
-digest taken when the emitter register-blocked its loops, and the raw
-outputs of compiled kernels to a digest taken before that.
+digest taken when the emitter last changed its loops, and the raw
+outputs of compiled kernels to a digest taken before it register-blocked
+them.
 """
 
 import hashlib
@@ -39,12 +40,13 @@ SEARCH_LOG_DIGEST = \
 LEGALITY_VERDICT_DIGEST = \
     "b20c9f67312d17e6b9ecc4d66edee126dacc61a46a822278782911cd71741eed"
 # sha256 of the C emitted for the organisms below, taken when the emitter
-# gained scalar replacement and unroll-and-jam; everything from main's
-# MATFUSE_NO_MAIN guard on is byte-identical to the C behind the previous
-# digest 033b674b..., taken when main gained its validation mode, and
-# OUTPUT_DIGEST shows the kernels compute the same bits
+# jammed loops whose rows share a reduction over their own axis (exact
+# passes plus a tail loop) and left out zeroings that a scalar-replacement
+# store overwrites; the previous digest d1766f5e..., taken when it gained
+# scalar replacement and unroll-and-jam, and 033b674b... before it hold the
+# same main, and OUTPUT_DIGEST shows the kernels compute the same bits
 EMIT_DIGEST = \
-    "d1766f5e7f537c434ccc02fae81a3cdadb041549539737dd3f022bef0a631f47"
+    "7c3fe13251d848a332678abb068539d4eb2e941cf8bb53db679194bc182462c6"
 # sha256 of the raw validation-mode output bytes of the kernels below,
 # taken before the emitter gained scalar replacement and unroll-and-jam:
 # neither may change the order of any element's additions
