@@ -7,7 +7,9 @@ parallel-for pragmas over block indices with the thread count baked in;
 the pragmas degrade to serial loops when compiled without OpenMP.
 Partitioned reductions accumulate into per-thread partial buffers joined
 in ascending block order after the region, so results are bit-stable
-run to run at a fixed thread count.
+run to run at a fixed thread count.  The emitter names them
+`<result>_part` and each region's block `p<n>`, n counting the regions,
+stepping past the kernel's own names like every other name it adds.
 
 Two register-level transforms shape the loops (Carr & Kennedy, TOPLAS
 1994); the IR itself still mirrors the organism tree:
@@ -58,11 +60,12 @@ source.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .fuse import canonical_key
-from .graph import DataflowGraph, OpNode
-from .lower import IRLoop, IRParallel, IRStmt, LoopIR, Storage, _unique
+from .graph import DataflowGraph, DataNode, OpNode
+from .lower import IRLoop, IRParallel, IRStmt, LoopIR
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,10 @@ class _Names:
 
     def name(self, want: str) -> str:
         """A name clear of the taken ones, left unreserved."""
-        return _unique(self.taken, want)
+        name = want
+        while name in self.taken:
+            name += "_"
+        return name
 
     def fresh(self, want: str) -> str:
         """A name clear of the taken ones, reserved against later names."""
@@ -122,17 +128,17 @@ class _Copy:
     names: dict[str, str]
 
 
-def _index(storage: Storage, block: str | None = None,
+def _index(node: DataNode, block: str | None = None,
            at: dict[str, str] | None = None) -> str:
     """Flat index expression; loop variables are the axis labels, unless
     `at` renders a label otherwise."""
-    labs = [(at or {}).get(lab, lab) for lab in storage.labels]
-    exts = storage.extents
-    if storage.order == "scalar":
+    labs = [(at or {}).get(lab, lab) for lab in node.labels]
+    exts = node.dims
+    if node.order == "scalar":
         core = None
-    elif storage.order == "vec":
+    elif node.order == "vec":
         core = labs[0]
-    elif storage.order == "row":
+    elif node.order == "row":
         core = f"{labs[0]} * {exts[1]} + {labs[1]}"
     else:  # col
         core = f"{labs[0]} + {labs[1]} * {exts[0]}"
@@ -155,17 +161,22 @@ class _Emitter:
         self.ir = ir
         self.graph = ir.graph
         self.w = _Writer()
-        self.partials = {s.base: s for s in ir.storage.values()
-                         if s.cls == "partial"}
+        self.regions = itertools.count()  # numbers each region's block
         self.block: str | None = None  # the open region's block variable
         labels = sorted({a.label for op in self.graph.ops
                          for a in op.nest.axes})
         # the kernel's own names, which the body's fixed names must avoid
-        self.names = _Names({*ir.storage, *self.graph.extent_names, *labels})
+        self.names = _Names({*self.graph.data, *self.graph.extent_names,
+                             *labels})
+        # each joined result's partial buffer, named before any local
+        self.partials = {result: self.names.fresh(f"{result}_part")
+                         for region in ir.roots
+                         if isinstance(region, IRParallel)
+                         for result in region.partials}
         # a local per contracted scalar and a scalar-replacement
         # accumulator per reduction into memory
         local = {name: self.names.fresh(f"{name}_s")
-                 for name, s in ir.storage.items() if s.cls == "contracted"}
+                 for name in self.graph.data if name in ir.contracted}
         for op in self.graph.ops:
             if op.nest.reduction_axis is not None and op.result not in local:
                 local[op.result] = self.names.fresh(f"{op.result}_r")
@@ -186,14 +197,14 @@ class _Emitter:
     # -- reference rendering -------------------------------------------------
 
     def ref(self, name: str, c: _Copy) -> str:
-        s = self.ir.storage[name]
-        if s.cls == "contracted":
+        if name in self.ir.contracted:
             return c.names[name]
-        if s.order == "scalar":
-            if s.cls == "output":
+        node = self.graph.data[name]
+        if node.order == "scalar":
+            if node.role == "output":
                 return f"(*{name})"
             return name
-        return f"{name}[{_index(s, at=c.at)}]"
+        return f"{name}[{_index(node, at=c.at)}]"
 
     # -- statements -----------------------------------------------------------
 
@@ -216,7 +227,7 @@ class _Emitter:
         target = c.names[op.result] if local else self.target_ref(op, c)
         if op.nest.reduction_axis is not None:
             self.w.put(f"{target} += {expr};")
-        elif self.ir.storage[op.result].cls == "contracted":
+        elif op.result in self.ir.contracted:
             self.w.put(f"double {target} = {expr};")
         else:
             self.w.put(f"{target} = {expr};")
@@ -225,20 +236,20 @@ class _Emitter:
         """Where `op` stores: its partial buffer's slot for the open
         region's block (an op with a partial only sits in its region), or
         its result."""
-        partial = self.partials.get(op.result)
-        if partial is not None:
-            return f"{partial.name}[{_index(partial, self.block, c.at)}]"
+        buf = self.partials.get(op.result)
+        if buf is not None:
+            node = self.graph.data[op.result]
+            return f"{buf}[{_index(node, self.block, c.at)}]"
         return self.ref(op.result, c)
 
     def emit_init(self, stmt: IRStmt, c: _Copy):
-        name = stmt.target
-        s = self.ir.storage[name]
-        if s.cls == "partial":
-            self.w.put(f"{name}[{_index(s, self.block, c.at)}] = 0.0;")
-        elif s.cls == "contracted":
-            self.w.put(f"double {c.names[name]} = 0.0;")
+        """Zero the op's result where the op stores (a contracted result is
+        never joined, so it only declares its local)."""
+        op = self.graph.op(stmt.op_id)
+        if op.result in self.ir.contracted:
+            self.w.put(f"double {c.names[op.result]} = 0.0;")
         else:
-            self.w.put(f"{self.ref(name, c)} = 0.0;")
+            self.w.put(f"{self.target_ref(op, c)} = 0.0;")
 
     # -- structure -------------------------------------------------------------
 
@@ -260,17 +271,16 @@ class _Emitter:
                 self.emit_region(item)
 
     def overwritten(self, stmt: IRStmt, rest: list) -> bool:
-        """Whether `stmt` zeroes a target (or a partial's base) that the
-        loop after it and its fellow inits sums in a local and then
-        stores over the zero."""
+        """Whether `stmt` zeroes a result that the loop after it and its
+        fellow inits sums in a local and then stores over the zero."""
         if stmt.role != "init":
             return False
-        s = self.ir.storage[stmt.target]
+        result = self.graph.op(stmt.op_id).result
         after = next((it for it in rest
                       if not (isinstance(it, IRStmt) and it.role == "init")),
                      None)
         return _innermost(after) and any(
-            op.result in (s.name, s.base) for op in self.sums(after))
+            op.result == result for op in self.sums(after))
 
     def bounds(self, loop: IRLoop) -> tuple[str, str]:
         if loop.sliced:
@@ -287,8 +297,7 @@ class _Emitter:
         memory: each accumulates in a local."""
         ops = (self.graph.op(s.op_id) for s in loop.body
                if self.reduces_over(s, loop.axis))
-        return [op for op in ops
-                if self.ir.storage[op.result].cls != "contracted"]
+        return [op for op in ops if op.result not in self.ir.contracted]
 
     def emit_innermost(self, loop: IRLoop, copies: tuple[_Copy, ...]):
         """One loop running each copy's statements in turn.  Each of its
@@ -367,13 +376,13 @@ class _Emitter:
         roots, so regions never nest and one block variable is open at a
         time."""
         t = region.threads
-        b = self.block = self.names.name(f"p{region.slot}")
+        b = self.block = self.names.name(f"p{next(self.regions)}")
         for result in region.partials:
-            p = self.partials[result]
-            size = " * ".join([str(t)] + [f"(size_t){e}" for e in p.extents])
+            dims = self.graph.data[result].dims
+            size = " * ".join([str(t)] + [f"(size_t){e}" for e in dims])
             self.w.put(
-                f"double *{p.name} = (double *)malloc(sizeof(double) * "
-                f"(size_t){size});"
+                f"double *{self.partials[result]} = (double *)malloc("
+                f"sizeof(double) * (size_t){size});"
             )
         self.w.put(
             f"#pragma omp parallel for num_threads({t}) schedule(static)"
@@ -389,23 +398,23 @@ class _Emitter:
         for result in region.partials:
             self.emit_join(result, t)
         for result in region.partials:
-            self.w.put(f"free({self.partials[result].name});")
+            self.w.put(f"free({self.partials[result]});")
 
     def emit_join(self, result: str, t: int):
         """Each element of `result` sums its blocks' partials in ascending
         block order: a loop per axis of the result, around a loop over the
         blocks."""
-        p = self.partials[result]
+        buf, node = self.partials[result], self.graph.data[result]
         b = self.names.name("b")
-        acc = self.names.name("acc" if p.extents else f"{result}_acc")
-        for lab, ext in zip(p.labels, p.extents):
+        acc = self.names.name("acc" if node.dims else f"{result}_acc")
+        for lab, ext in zip(node.labels, node.dims):
             self.w.open(f"for (long {lab} = 0; {lab} < {ext}; ++{lab})")
-        self.w.put(f"double {acc} = {p.name}[{_index(p) or '0'}];")
+        self.w.put(f"double {acc} = {buf}[{_index(node) or '0'}];")
         self.w.open(f"for (long {b} = 1; {b} < {t}; ++{b})")
-        self.w.put(f"{acc} += {p.name}[{_index(p, b)}];")
+        self.w.put(f"{acc} += {buf}[{_index(node, b)}];")
         self.w.close()
         self.w.put(f"{self.ref(result, self.plain)} = {acc};")
-        for _ in p.extents:
+        for _ in node.dims:
             self.w.close()
 
 
@@ -428,10 +437,10 @@ def kernel_params(graph: DataflowGraph) -> list[str]:
     return params
 
 
-def _elements(storage: Storage) -> str:
-    if not storage.extents:
+def _elements(node: DataNode) -> str:
+    if not node.dims:
         return "1"
-    return " * ".join(f"(size_t){e}" for e in storage.extents)
+    return " * ".join(f"(size_t){e}" for e in node.dims)
 
 
 def emit_c(ir: LoopIR, extents: dict[str, int] | None = None) -> GeneratedKernel:
@@ -457,32 +466,31 @@ def emit_c(ir: LoopIR, extents: dict[str, int] | None = None) -> GeneratedKernel
     w.open(f"void {kname}({', '.join(params)})")
 
     # scalar temporaries up front, array temporaries on the heap
-    for s in ir.storage.values():
-        if s.cls == "temp" and s.order == "scalar":
-            w.put(f"double {s.name} = 0.0;")
-    for s in ir.storage.values():
-        if s.cls == "temp" and s.order != "scalar":
-            w.put(
-                f"double *{s.name} = (double *)malloc(sizeof(double) * "
-                f"{_elements(s)});"
-            )
+    temps = [node for node in graph.data.values()
+             if node.role == "temp" and node.name not in ir.contracted]
+    arrays = [node for node in temps if node.order != "scalar"]
+    for node in temps:
+        if node.order == "scalar":
+            w.put(f"double {node.name} = 0.0;")
+    for node in arrays:
+        w.put(f"double *{node.name} = (double *)malloc(sizeof(double) * "
+              f"{_elements(node)});")
     em.emit_items(ir.roots)
-    for s in ir.storage.values():
-        if s.cls == "temp" and s.order != "scalar":
-            w.put(f"free({s.name});")
+    for node in arrays:
+        w.put(f"free({node.name});")
     w.close()
     w.put()
-    _emit_main(w, ir, kname, extents)
+    _emit_main(w, graph, kname, extents)
     return GeneratedKernel(w.text(), kname, key)
 
 
-def _emit_main(w: _Writer, ir: LoopIR, kname: str, extents: dict[str, int]):
+def _emit_main(w: _Writer, graph: DataflowGraph, kname: str,
+               extents: dict[str, int]):
     """main(argc, argv): `<extents> <reps>` times the kernel on LCG-filled
     inputs and prints the seconds and checksum lines; `<extents> <reps>
     <inputs> <outputs>` reads the inputs as raw doubles in signature order,
     fills the outputs with NaN, calls the kernel once and writes the
     outputs as raw doubles (exit 2 when a file fails)."""
-    graph = ir.graph
     spec = graph.spec
     names = graph.extent_names
     # main's own locals and helpers must not shadow the kernel's names
@@ -526,7 +534,7 @@ def _emit_main(w: _Writer, ir: LoopIR, kname: str, extents: dict[str, int]):
     w.put(f"if ({argc} > {at + 2} && !{src}) return 2;")
     args = []
     for name, decl in spec.inputs:
-        s = ir.storage[name]
+        s = graph.data[name]
         if decl.kind == "scalar":
             w.put(f"double {name};")
             w.put(f"{fill}(&{name}, 1, {src});")
@@ -536,7 +544,7 @@ def _emit_main(w: _Writer, ir: LoopIR, kname: str, extents: dict[str, int]):
             w.put(f"{fill}({name}, {_elements(s)}, {src});")
         args.append(name)
     for name, decl in spec.outputs:
-        s = ir.storage[name]
+        s = graph.data[name]
         if decl.kind == "scalar":
             w.put(f"double {name} = 0.0;")
             args.append(f"&{name}")
@@ -552,7 +560,7 @@ def _emit_main(w: _Writer, ir: LoopIR, kname: str, extents: dict[str, int]):
         if decl.kind == "scalar":
             w.put(f"{name} = {nan};")
         else:
-            s = ir.storage[name]
+            s = graph.data[name]
             w.open(f"for (size_t {q} = 0; {q} < {_elements(s)}; ++{q})")
             w.put(f"{name}[{q}] = {nan};")
             w.close()
@@ -561,7 +569,7 @@ def _emit_main(w: _Writer, ir: LoopIR, kname: str, extents: dict[str, int]):
     w.put(f"if (!{dst}) return 2;")
     for name, decl in spec.outputs:
         ptr = f"&{name}" if decl.kind == "scalar" else name
-        w.put(f"fwrite({ptr}, sizeof(double), {_elements(ir.storage[name])}, "
+        w.put(f"fwrite({ptr}, sizeof(double), {_elements(graph.data[name])}, "
               f"{dst});")
     w.put(f"return fclose({dst}) == 0 ? 0 : 2;")
     w.close()
@@ -575,7 +583,7 @@ def _emit_main(w: _Writer, ir: LoopIR, kname: str, extents: dict[str, int]):
     w.close()
     w.put(f"double {checksum} = 0.0;")
     for name, decl in spec.outputs:
-        s = ir.storage[name]
+        s = graph.data[name]
         if decl.kind == "scalar":
             w.put(f"{checksum} += {name};")
         else:

@@ -132,6 +132,31 @@ def _validate(kernel, graph, extents, toolchain) -> float:
         return validation_error(binary, graph, extents, seed=11)
 
 
+def _validator(args) -> Toolchain | None:
+    """The compiler that validates the C a command writes, or None under
+    --no-validate.  Finding none is a toolchain error."""
+    if args.no_validate:
+        return None
+    toolchain = Toolchain(args.cc, args.cc_template)
+    if not toolchain.available:
+        raise ToolchainError("compile-failure", "validation needs a C "
+                             "compiler (or --no-validate)")
+    return toolchain
+
+
+def _check(kernel, graph, extents, toolchain: Toolchain | None) -> int:
+    """Validate the written `kernel` unless `toolchain` is None: the exit
+    code, 0 when it matches the reference."""
+    if toolchain is None:
+        return 0
+    err = _validate(kernel, graph, extents, toolchain)
+    print(f"validated against reference: max relative error {err:.3e}")
+    if not err < REL_TOL:
+        print("error: kernel output mismatch", file=sys.stderr)
+        return EXIT_KERNEL
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # compile
 
@@ -158,18 +183,7 @@ def cmd_compile(args) -> int:
     if org.threads:
         print(f"threads: {','.join(str(t) for t in org.threads)}")
     print(f"wrote {out}")
-    if not args.no_validate:
-        toolchain = Toolchain(args.cc, args.cc_template)
-        if not toolchain.available:
-            print("error: validation needs a C compiler (or --no-validate)",
-                  file=sys.stderr)
-            return EXIT_TOOLCHAIN
-        err = _validate(kernel, graph, extents, toolchain)
-        print(f"validated against reference: max relative error {err:.3e}")
-        if not err < REL_TOL:
-            print("error: kernel output mismatch", file=sys.stderr)
-            return EXIT_KERNEL
-    return 0
+    return _check(kernel, graph, extents, _validator(args))
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +192,7 @@ def cmd_compile(args) -> int:
 def cmd_search(args) -> int:
     graph = _load_graph(args.kernel)
     extents = _bind_extents(args.extents, graph)
+    validator = _validator(args)
     cfg = SearchConfig(
         population=args.population,
         tournament_k=args.tournament,
@@ -233,14 +248,7 @@ def cmd_search(args) -> int:
         print(f"error: no candidate succeeded "
               f"({result.best_report.diagnostic})", file=sys.stderr)
         return EXIT_TOOLCHAIN
-    if not args.no_validate:
-        toolchain = Toolchain(args.cc, args.cc_template)
-        if toolchain.available:
-            err = _validate(kernel, graph, extents, toolchain)
-            print(f"validated best kernel: max relative error {err:.3e}")
-            if not err < REL_TOL:
-                return EXIT_KERNEL
-    return 0
+    return _check(kernel, graph, extents, validator)
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +295,7 @@ def cmd_corpus(args) -> int:
         return EXIT_USAGE
     names = [args.kernel.lower()] if args.kernel else list(
         corpus_mod.TABLE_KERNELS)
-    toolchain = Toolchain(args.cc, args.cc_template)
-    if not args.no_validate and not toolchain.available:
-        print("error: corpus validation needs a C compiler "
-              "(or pass --no-validate)", file=sys.stderr)
-        return EXIT_TOOLCHAIN
+    toolchain = _validator(args)
     report = []
     failures = set()  # the exit code of each way an entry failed
     for name in names:
@@ -314,7 +318,7 @@ def cmd_corpus(args) -> int:
                 output_reuse=reuse,
                 max_fuse=format_notation(org),
             )
-            if not args.no_validate:
+            if toolchain is not None:
                 extents = _bind_extents(args.extents, graph)
                 err = _validate(_emit(org, graph, extents), graph, extents,
                                 toolchain)
@@ -381,7 +385,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tournament", type=_at_least(1), default=2)
     p.add_argument("--threads-mode", choices=("const", "global", "exhaustive"),
                    default="global")
-    p.add_argument("--max-ops", type=int, default=4,
+    p.add_argument("--max-ops", type=_at_least(1), default=4,
                    help="exhaustive/orthogonal enumeration op limit")
     p.add_argument("--reps", type=_at_least(1), default=5,
                    help="timing repetitions for empirical fitness")
@@ -391,7 +395,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("enumerate", help="list every legal organism")
     p.add_argument("kernel")
-    p.add_argument("--max-ops", type=int, default=4)
+    p.add_argument("--max-ops", type=_at_least(1), default=4)
     p.add_argument("--max-threads", type=_at_least(1), default=8)
     p.add_argument("--threads-mode", choices=("const", "global", "exhaustive"),
                    default="global")

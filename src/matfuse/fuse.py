@@ -695,7 +695,7 @@ def contracted_temporaries(org: Organism, graph: DataflowGraph) -> set[str]:
     paths = _leaf_paths(org)
     out: set[str] = set()
     for name, node in graph.data.items():
-        if node.role != "temp" or not node.dims:
+        if node.role != "temp" or not node.labels:
             continue
         producer = graph.producer_of(name)
         consumers = graph.consumers_of(name)
@@ -704,13 +704,12 @@ def contracted_temporaries(org: Organism, graph: DataflowGraph) -> set[str]:
         if producer.op_id not in paths or any(
                 c.op_id not in paths for c in consumers):
             continue
-        labels = {graph._label_of[d] for d in node.dims}
         users = sum(1 << c.op_id for c in consumers)
         shared_loops = {  # the producer's loops around every consumer
             n.axis for n in paths[producer.op_id]
             if isinstance(n, LoopNode) and n.mask & users == users
         }
-        if labels <= shared_loops:
+        if set(node.labels) <= shared_loops:
             out.add(name)
     return out
 

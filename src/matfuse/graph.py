@@ -31,6 +31,12 @@ tied to extent classes: ``i`` iterates matrix rows (extent M), ``j``
 matrix columns (extent N), and ``k`` the single axis of kernels that
 contain no matrix at all.  The innermost axis of every nest traverses
 each dense matrix operand contiguously for its declared storage.
+
+Each data node's layout is decided here once: `DataNode.labels` names the
+axis of each dim and `DataNode.order` its C layout (scalar, vector, or a
+row- or column-major matrix), which contraction, C emission and the
+runtime harness read.  Type inference also rejects names the emitted C
+cannot declare.
 """
 
 from __future__ import annotations
@@ -106,6 +112,16 @@ class DataNode:
     declared: DeclaredType | None = None
     ctype: ContainerType | None = None
     dims: tuple[str, ...] = ()  # extent symbols, logical (rows, cols) for matrices
+    labels: tuple[str, ...] = ()  # the axis label indexing each dim
+
+    @property
+    def order(self) -> str:
+        """The C layout: "scalar", "vec", or a matrix's "row" or "col"."""
+        if self.ctype is None or self.ctype.depth == 0:
+            return "scalar"
+        if is_vector(self.ctype):
+            return "vec"
+        return "row" if self.ctype == ROW_MAJOR else "col"
 
 
 @dataclass(frozen=True)
@@ -173,7 +189,6 @@ class DataflowGraph:
     # and the reduction pairs of the axis
     _axes: tuple[dict[str, int], dict[str, tuple[int, ...]]] | None = field(
         default=None, repr=False, compare=False)
-    _label_of: dict[str, str] = field(default_factory=dict, repr=False)
 
     def op(self, op_id: int) -> OpNode:
         return self.ops[op_id - 1]
@@ -446,7 +461,8 @@ def infer_types(graph: DataflowGraph) -> DataflowGraph:
     """Assign container types to temporaries, unify extents, derive nests.
 
     Raises TypeCheckError on container mismatches (adding a vector to a
-    matrix, mismatched orientations) or extent conflicts.
+    matrix, mismatched orientations), extent conflicts, or names the
+    emitted C cannot declare.
     """
     ext = _Extents()
     dims: dict[str, tuple[int, ...]] = {}
@@ -511,6 +527,7 @@ def infer_types(graph: DataflowGraph) -> DataflowGraph:
                 ext.unify(a, b)
 
     _name_extents(graph, ext, dims)
+    _check_names(graph)
     _derive_nests(graph)
     graph.typed = True
     return graph
@@ -572,31 +589,55 @@ def _name_extents(graph: DataflowGraph, ext: _Extents,
                 class_label[root] = next(spare_labels)
     for name, node in graph.data.items():
         if name in dims:
-            node.dims = tuple(class_name[ext.find(s)] for s in dims[name])
+            roots = [ext.find(s) for s in dims[name]]
+            node.dims = tuple(class_name[r] for r in roots)
+            node.labels = tuple(class_label[r] for r in roots)
     seen: list[str] = []
     for node in graph.data.values():
         for d in node.dims:
             if d not in seen:
                 seen.append(d)
     graph.extent_names = tuple(sorted(seen))
-    graph._label_of = {class_name[c]: class_label[c] for c in class_name}
+
+
+# names a C file cannot give a kernel's data or function: C99's keywords,
+# `main`, and what the emitted file takes from its headers
+C_RESERVED = frozenset('''
+    auto break case char const continue default do double else enum extern
+    float for goto if inline int long register restrict return short signed
+    sizeof static struct switch typedef union unsigned void volatile while
+    _Bool _Complex _Imaginary main malloc calloc free exit atol strtod fopen
+    fread fwrite fclose printf clock_gettime CLOCK_MONOTONIC FILE NULL size_t
+'''.split())
+
+
+def _check_names(graph: DataflowGraph):
+    """Reject names the emitted C cannot declare: a data name that C
+    reserves or that is one of the kernel's extent names or axis labels,
+    and a kernel whose C function (its name lower-cased) has a name C
+    reserves or one of its data names."""
+    own = {*graph.extent_names,
+           *(lab for node in graph.data.values() for lab in node.labels)}
+    for name in graph.data:
+        if name in C_RESERVED:
+            raise TypeCheckError(f"{name!r} is reserved in the emitted C")
+        if name in own:
+            raise TypeCheckError(f"{name!r} names an extent or axis of the "
+                                 "kernel")
+    fname = graph.spec.name.lower()
+    if fname in C_RESERVED or fname in graph.data:
+        raise TypeCheckError(f"kernel {graph.spec.name!r} would be the C "
+                             f"function {fname!r}, a name already taken")
 
 
 def _derive_nests(graph: DataflowGraph):
-    label_of = graph._label_of
-
-    def axes_of(name: str, transposed: bool) -> tuple[str, ...]:
-        d = graph.data[name].dims
-        if transposed and len(d) == 2:
-            d = (d[1], d[0])
-        return tuple(label_of[x] for x in d)
-
-    extent_of = {label_of[d]: d for node in graph.data.values()
-                 for d in node.dims}
+    extent_of = {lab: d for node in graph.data.values()
+                 for lab, d in zip(node.labels, node.dims)}
 
     for op in graph.ops:
-        result_axes = axes_of(op.result, False)
-        operand_axes = tuple(axes_of(ref.name, False) for ref in op.operands)
+        result_axes = graph.data[op.result].labels
+        operand_axes = tuple(graph.data[ref.name].labels
+                             for ref in op.operands)
         all_labels: list[str] = []
         for labels in (result_axes, *operand_axes):
             for lab in labels:
@@ -610,11 +651,12 @@ def _derive_nests(graph: DataflowGraph):
         # contiguity: the storage-inner dimension of every matrix operand
         # (physical, so transpose views do not change it)
         contiguous: set[str] = set()
-        for ref in (*op.operands, OperandRef(op.result)):
-            node = graph.data[ref.name]
-            if node.ctype is not None and is_matrix(node.ctype):
-                inner = node.dims[1] if node.ctype == ROW_MAJOR else node.dims[0]
-                contiguous.add(label_of[inner])
+        for name in (*(ref.name for ref in op.operands), op.result):
+            node = graph.data[name]
+            if node.order == "row":
+                contiguous.add(node.labels[1])
+            elif node.order == "col":
+                contiguous.add(node.labels[0])
         if not contiguous and all_labels:
             contiguous = {all_labels[-1]}
         ordered = sorted(all_labels,

@@ -17,37 +17,24 @@ reduction loop:
 Array contraction then demotes temporaries: a temporary whose producer
 and consumers share every loop that indexes it needs only one live
 element, so it becomes a scalar local.  Contraction never touches inputs
-or outputs and never changes results; it only relabels storage.
+or outputs and never changes results; it only records the set of
+contracted temporaries, which the emitter renders as locals.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Container
 from dataclasses import dataclass, field, replace
 
 from .fuse import (
-    IterNode, LoopNode, OpLeaf, Organism, PartitionNode,
-    contracted_temporaries,
+    IterNode, OpLeaf, Organism, PartitionNode, contracted_temporaries,
 )
-from .graph import ROW_MAJOR, DataflowGraph, OpNode, bits, is_vector
-
-
-@dataclass
-class Storage:
-    name: str
-    cls: str  # "input" | "output" | "temp" | "contracted" | "partial"
-    extents: tuple[str, ...]  # e.g. ("M", "N"); () for scalars
-    labels: tuple[str, ...]  # axis label indexing each dim
-    order: str  # "row" | "col" | "vec" | "scalar"
-    base: str | None = None  # partials: the result they feed
+from .graph import DataflowGraph, OpNode, bits
 
 
 @dataclass
 class IRStmt:
-    role: str  # "compute" | "init"
-    op_id: int | None = None
-    target: str | None = None  # init target
+    role: str  # "compute" | "init" (zeroes the op's result)
+    op_id: int
 
 
 @dataclass
@@ -63,7 +50,6 @@ class IRLoop:
 class IRParallel:
     axis: str
     extent: str
-    slot: int  # the region's number in root order, naming its C block
     threads: int
     body: list
     partials: list[str] = field(default_factory=list)  # result names to join
@@ -74,7 +60,6 @@ class LoopIR:
     graph: DataflowGraph
     organism: Organism
     roots: list  # IRLoop | IRParallel | IRStmt
-    storage: dict[str, Storage]
     contracted: frozenset[str] = frozenset()
 
     def loop_count(self) -> int:
@@ -97,25 +82,10 @@ class LoopIR:
         return sum(1 for it in self.roots if isinstance(it, IRParallel))
 
 
-def _storage_for(graph: DataflowGraph) -> dict[str, Storage]:
-    table: dict[str, Storage] = {}
-    for name, node in graph.data.items():
-        labels = tuple(graph._label_of[d] for d in node.dims)
-        if node.ctype is None or node.ctype.depth == 0:
-            order = "scalar"
-        elif is_vector(node.ctype):
-            order = "vec"
-        else:
-            order = "row" if node.ctype == ROW_MAJOR else "col"
-        table[name] = Storage(name, node.role, node.dims, labels, order)
-    return table
-
-
 def lower(org: Organism, graph: DataflowGraph) -> LoopIR:
     """Build the uncontracted loop IR for a legal organism in one walk of
-    its tree, placing each reduction's init (and partial buffer) as the
+    its tree, placing each reduction's init (and partial join) as the
     walk reaches the reduction loop."""
-    storage = _storage_for(graph)
     extent_of = {ax.label: ax.extent
                  for op in graph.ops for ax in op.nest.axes}
 
@@ -128,21 +98,14 @@ def lower(org: Organism, graph: DataflowGraph) -> LoopIR:
         partition axis covers only the block."""
         part = region.axis if region else None
         cut = part == op.nest.reduction_axis
-        res = storage[op.result]
-        target = op.result
         if cut:
-            target = _unique(storage, op.result + "_part")
-            storage[target] = Storage(target, "partial", res.extents,
-                                      res.labels, res.order, op.result)
             region.partials.append(op.result)
-        item: IRLoop | IRStmt = IRStmt("init", op.op_id, target)
-        for lab in reversed(res.labels):
+        item: IRLoop | IRStmt = IRStmt("init", op.op_id)
+        for lab in reversed(graph.data[op.result].labels):
             if lab not in scope:
                 sliced = lab == part and not cut
                 item = IRLoop(lab, extent_of[lab], "init", sliced, [item])
         return item
-
-    regions = itertools.count()
 
     def lower_node(node: IterNode, scope: tuple[str, ...],
                    region: IRParallel | None) -> list:
@@ -152,8 +115,8 @@ def lower(org: Organism, graph: DataflowGraph) -> LoopIR:
                 f"no reduction loop for op {node.op_id}"
             return [IRStmt("compute", node.op_id)]
         if isinstance(node, PartitionNode):
-            inner = IRParallel(node.axis, extent_of[node.axis],
-                               next(regions), node.threads, [])
+            inner = IRParallel(node.axis, extent_of[node.axis], node.threads,
+                               [])
             for child in node.children:
                 inner.body.extend(lower_node(child, scope, inner))
             return [inner]
@@ -171,26 +134,15 @@ def lower(org: Organism, graph: DataflowGraph) -> LoopIR:
     roots: list = []
     for root in org.forest:
         roots.extend(lower_node(root, (), None))
-    return LoopIR(graph, org, roots, storage)
-
-
-def _unique(taken: Container[str], want: str) -> str:
-    name = want
-    while name in taken:
-        name += "_"
-    return name
+    return LoopIR(graph, org, roots)
 
 
 def contract_arrays(ir: LoopIR) -> LoopIR:
     """Demote every contractible temporary to a scalar local.
 
     Eligibility comes from the organism alone (producer and consumers
-    share all indexing loops); this pass just rewrites the storage table,
-    so generated statements pick up the scalar form.
+    share all indexing loops); the IR records the set, and the emitter
+    renders each member as a local.
     """
-    names = contracted_temporaries(ir.organism, ir.graph)
-    storage = dict(ir.storage)
-    for name in names:
-        storage[name] = replace(storage[name], cls="contracted")
-    return LoopIR(ir.graph, ir.organism, ir.roots, storage,
-                  contracted=frozenset(names))
+    return replace(ir, contracted=frozenset(
+        contracted_temporaries(ir.organism, ir.graph)))

@@ -155,10 +155,7 @@ class Toolchain:
 def _numpy_order(node) -> str:
     """The numpy order of a node's C layout: "F" for a column-major
     matrix, else "C"."""
-    if len(node.dims) == 2 and node.ctype is not None \
-            and node.ctype.orientation == "R":
-        return "F"
-    return "C"
+    return "F" if node.order == "col" else "C"
 
 
 def _flatten(name: str, value, extents: dict[str, int], node) -> np.ndarray:

@@ -164,6 +164,27 @@ class TestSearch:
                    (outdir / "log.jsonl").read_text().splitlines()]
         assert entries and all(e["fitness"] is None for e in entries)
 
+    def test_no_compiler_exits_3_before_searching(self, tmp_path, capsys):
+        outdir = tmp_path / "run"
+        code, _, stderr = run(
+            capsys, "search", str(kernel_path("vadd")), "--budget", "3",
+            "--cc", "/nonexistent/cc", "--out-dir", str(outdir),
+        )
+        assert code == 3
+        assert "error: validation needs a C compiler" in stderr
+        assert not outdir.exists()
+
+    def test_best_kernel_mismatch_exits_2(self, tmp_path, capsys,
+                                          monkeypatch):
+        monkeypatch.setattr(cli, "validation_error",
+                            lambda *args, **kwargs: math.inf)
+        code, _, stderr = run(
+            capsys, "search", str(kernel_path("vadd")), "--budget", "3",
+            "--cc", "true", "--out-dir", str(tmp_path / "run"),
+        )
+        assert code == 2
+        assert "error: kernel output mismatch" in stderr
+
 
 def strict_json(text: str):
     """json.loads that rejects Infinity and NaN, which are not JSON."""
@@ -258,6 +279,29 @@ def test_validation_leaves_no_temp_dirs(tmp_path, capsys, monkeypatch,
     assert not list(scratch.glob("matfuse-*"))
 
 
+@pytest.mark.parametrize("text, name", [
+    ("AXIS in: A : matrix(row), i : vector(column) "
+     "out: y : vector(column) { y = A * i }", "'i'"),
+    ("EXTENT in: M : matrix(row), x : vector(column) "
+     "out: y : vector(column) { y = M * x }", "'M'"),
+    ("KEYWORD in: int : vector(column) "
+     "out: y : vector(column) { y = int + int }", "'int'"),
+    ("HEADER in: malloc : vector(column) "
+     "out: free : vector(column) { free = malloc + malloc }", "'malloc'"),
+    ("MAIN in: x : vector(column) "
+     "out: y : vector(column) { y = x + x }", "'main'"),
+    ("Y in: x : vector(column) "
+     "out: y : vector(column) { y = x + x }", "'y'"),
+], ids=["axis", "extent", "keyword", "header", "main", "data"])
+def test_names_c_cannot_declare_exit_2(text, name, tmp_path, capsys):
+    src = tmp_path / "k.bto"
+    src.write_text(text)
+    code, _, stderr = run(capsys, "compile", str(src), "--no-validate",
+                          "-o", str(tmp_path / "k.c"))
+    assert code == 2
+    assert name in stderr
+
+
 def test_empty_loop_is_a_structure_error(tmp_path, capsys):
     code, _, stderr = run(
         capsys, "compile", BATAX, "-o", str(tmp_path / "k.c"),
@@ -270,6 +314,7 @@ def test_empty_loop_is_a_structure_error(tmp_path, capsys):
 @pytest.mark.parametrize("command, flag, value", [
     ("search", "--population", "1"),
     ("search", "--cores", "0"),
+    ("search", "--max-ops", "0"),
     ("compile", "--extents", "abc"),
     ("compile", "--extents", "-5"),
     ("compile", "--cores", "0"),

@@ -422,6 +422,10 @@ class TestBodyNames:
          "out: i_hi : vector(column) { i_hi = A * i_lo }", None),
         ("SCALAR in: s_acc : vector(column), x : vector(column) "
          "out: s : scalar { s = s_acc' * x }", "{_{p(k)}{_k 1}}"),
+        ("BATAX in: t1_part : vector(column), beta : scalar, "
+         "A : matrix(row) out: y : vector(column) "
+         "{ y = beta * A' * (A * t1_part) }",
+         "{_{p(i)}{_i{_j 1}{_j 2}}}{_{p(j)}{_j 3}}"),
     ])
     def test_clashing_names_compile_and_validate(self, text, organism,
                                                  toolchain):
@@ -431,3 +435,7 @@ class TestBodyNames:
         assert org.threads, "the organism must have a parallel region"
         check_against_reference(g, org, {n: 10 for n in g.extent_names},
                                 toolchain)
+        if "t1_part" in g.data:  # t1's partial buffer steps past the input
+            _, kernel = build(g, org, None)
+            assert "double *t1_part_ = (double *)malloc(" in kernel.source
+            check_against_reference(g, org, {"M": 37, "N": 23}, toolchain)
