@@ -610,22 +610,49 @@ C_RESERVED = frozenset('''
     fread fwrite fclose printf clock_gettime CLOCK_MONOTONIC FILE NULL size_t
 '''.split())
 
+# the macros C99 defines in the emitted file's headers, <stdio.h>,
+# <stdlib.h> and <time.h> (7.19, 7.20, 7.23): no data may be named after
+# one, since the preprocessor would replace it
+C_HEADER_MACROS = frozenset('''
+    NULL _IOFBF _IOLBF _IONBF BUFSIZ EOF FOPEN_MAX FILENAME_MAX L_tmpnam
+    SEEK_CUR SEEK_END SEEK_SET TMP_MAX stderr stdin stdout EXIT_FAILURE
+    EXIT_SUCCESS RAND_MAX MB_CUR_MAX CLOCKS_PER_SEC
+'''.split())
+
+# every other file-scope identifier those headers declare, their functions
+# and types: no kernel's C function may take one (data may, since a
+# parameter or local only hides the header's declaration)
+C_HEADER_NAMES = C_HEADER_MACROS | frozenset('''
+    size_t FILE fpos_t remove rename tmpfile tmpnam fclose fflush fopen
+    freopen setbuf setvbuf fprintf fscanf printf scanf snprintf sprintf
+    sscanf vfprintf vfscanf vprintf vscanf vsnprintf vsprintf vsscanf fgetc
+    fgets fputc fputs getc getchar gets putc putchar puts ungetc fread fwrite
+    fgetpos fseek fsetpos ftell rewind clearerr feof ferror perror
+    wchar_t div_t ldiv_t lldiv_t atof atoi atol atoll strtod strtof strtold
+    strtol strtoll strtoul strtoull rand srand calloc free malloc realloc
+    abort atexit exit _Exit getenv system bsearch qsort abs labs llabs div
+    ldiv lldiv mblen mbtowc wctomb mbstowcs wcstombs
+    clock_t time_t clock difftime mktime time asctime ctime gmtime localtime
+    strftime
+'''.split())
+
 
 def _check_names(graph: DataflowGraph):
     """Reject names the emitted C cannot declare: a data name that C
-    reserves or that is one of the kernel's extent names or axis labels,
-    and a kernel whose C function (its name lower-cased) has a name C
-    reserves or one of its data names."""
+    reserves, that a header defines as a macro or that is one of the
+    kernel's extent names or axis labels, and a kernel whose C function
+    (its name lower-cased) has a name C reserves, a header declares or
+    one of its data names."""
     own = {*graph.extent_names,
            *(lab for node in graph.data.values() for lab in node.labels)}
     for name in graph.data:
-        if name in C_RESERVED:
+        if name in C_RESERVED or name in C_HEADER_MACROS:
             raise TypeCheckError(f"{name!r} is reserved in the emitted C")
         if name in own:
             raise TypeCheckError(f"{name!r} names an extent or axis of the "
                                  "kernel")
     fname = graph.spec.name.lower()
-    if fname in C_RESERVED or fname in graph.data:
+    if fname in C_RESERVED or fname in C_HEADER_NAMES or fname in graph.data:
         raise TypeCheckError(f"kernel {graph.spec.name!r} would be the C "
                              f"function {fname!r}, a name already taken")
 

@@ -27,6 +27,12 @@ key.  Each run keeps its own count of the distinct organisms it asked
 for; that count is the evaluation budget and, with the generation and
 step counts, is what ends a search.  A cache shared between runs only
 saves computation.
+
+Each run also keeps a memo of legality verdicts (LegalityMemo), made
+when the run starts and dropped when it ends: the pure checks crossover
+and mutation repeat on the same roots and children are computed once
+per run and looked up after that, so a run's organisms are those it
+would explore without the memo.
 """
 
 from __future__ import annotations
@@ -80,9 +86,13 @@ class LogEntry:
     generation: int
     elapsed_s: float
     strategy: str
+    diagnostic: str | None = None  # why a failed candidate failed
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        entry = asdict(self)
+        if self.diagnostic is None:
+            del entry["diagnostic"]
+        return entry
 
 
 @dataclass
@@ -99,6 +109,43 @@ class SearchResult:
     @property
     def best_key(self) -> str:
         return canonical_key(self.best)
+
+
+# ---------------------------------------------------------------------------
+# Legality verdicts, memoized per run
+
+class LegalityMemo:
+    """One run's legality verdicts on one graph, each computed by
+    canonicalize and fusion_legal the first time it is asked for: a
+    crossover root alone, keyed by the (frozen) root, and a whole
+    organism, keyed by its canonical key and the shared-operand flag.
+    A run owns its memo, so no verdict outlives the run."""
+
+    def __init__(self, graph: DataflowGraph):
+        self.graph = graph
+        self._roots: dict[IterNode, bool] = {}
+        self._organisms: dict[tuple[str, bool], bool] = {}
+
+    def root_legal(self, root: IterNode) -> bool:
+        """Whether the root alone, canonicalized, passes the partial
+        check."""
+        legal = self._roots.get(root)
+        if legal is None:
+            alone = canonicalize(Organism((root,)), self.graph)
+            legal = fusion_legal(alone, self.graph, partial=True) is None
+            self._roots[root] = legal
+        return legal
+
+    def legal(self, org: Organism,
+              require_shared_operand: bool = True) -> bool:
+        """Whether the whole organism passes fusion_legal."""
+        key = org.key, require_shared_operand
+        legal = self._organisms.get(key)
+        if legal is None:
+            legal = fusion_legal(org, self.graph,
+                                 require_shared_operand) is None
+            self._organisms[key] = legal
+        return legal
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +300,10 @@ def max_fuse(graph: DataflowGraph, core_count: int = 8) -> Organism:
 # Mutation
 
 def mutate(org: Organism, graph: DataflowGraph, rng: random.Random,
-           cfg: SearchConfig) -> Organism:
+           cfg: SearchConfig, memo: LegalityMemo | None = None) -> Organism:
     """Apply one random change; inapplicable or illegal choices leave the
-    organism unchanged.
+    organism unchanged.  `memo` is the run's legality memo (a fresh one
+    when None).
 
     The four changes: add/remove a fusion level, add/remove a partition
     level, change a partition axis, change the thread count (by 2,
@@ -308,9 +356,9 @@ def mutate(org: Organism, graph: DataflowGraph, rng: random.Random,
             cand = with_threads(org, counts)
     if cand is None:
         return org
-    if fusion_legal(cand, graph, cfg.require_shared_operand) is not None:
-        return org
-    return cand
+    if memo is None:
+        memo = LegalityMemo(graph)
+    return cand if memo.legal(cand, cfg.require_shared_operand) else org
 
 
 def random_organism(graph: DataflowGraph, rng: random.Random,
@@ -348,19 +396,21 @@ def _roots_ordered(masks: list[int], graph: DataflowGraph) -> bool:
 
 
 def _placement_legal(roots: list[IterNode], changed: int,
-                     graph: DataflowGraph) -> bool:
+                     graph: DataflowGraph,
+                     memo: LegalityMemo | None = None) -> bool:
     """Whether a growing child stays legal after roots[changed] took an op.
 
     Checks that root alone, then that all roots can be ordered.  This
     equals fusion_legal(canonicalize(Organism(roots)), graph, partial=True)
     when every other root passed it before: the fused-set, sibling-order
     and reduction rules never span two roots, canonicalize only reorders
-    roots, and coverage holds by construction.
+    roots, and coverage holds by construction.  The root's verdict comes
+    from `memo`, the run's legality memo (a fresh one when None).
     """
-    alone = canonicalize(Organism((roots[changed],)), graph)
-    if fusion_legal(alone, graph, partial=True) is not None:
-        return False
-    return _roots_ordered([r.mask for r in roots], graph)
+    if memo is None:
+        memo = LegalityMemo(graph)
+    return memo.root_legal(roots[changed]) \
+        and _roots_ordered([r.mask for r in roots], graph)
 
 
 def _level_masks(org: Organism) -> list[dict[int, int]]:
@@ -414,7 +464,8 @@ def _insert_into_tree(tree: IterNode, op_id: int, depth: int,
 
 
 def crossover(parent_a: Organism, parent_b: Organism,
-              graph: DataflowGraph, rng: random.Random) -> Organism:
+              graph: DataflowGraph, rng: random.Random,
+              memo: LegalityMemo | None = None) -> Organism:
     """Recombine two organisms level by level, outermost inward.
 
     For each operation a coin picks which parent's grouping to follow at
@@ -422,8 +473,11 @@ def crossover(parent_a: Organism, parent_b: Organism,
     the deeper ones, and the new node inherits the chosen parent's
     partition axis and thread count.  Infeasible placements fall back to
     the other parent, then to a standalone unfused root, so the child is
-    always legal.
+    always legal.  Legality verdicts come from `memo`, the run's legality
+    memo (a fresh one when None).
     """
+    if memo is None:
+        memo = LegalityMemo(graph)
     parents = (parent_a, parent_b)
     levels = (_level_masks(parent_a), _level_masks(parent_b))
 
@@ -466,7 +520,7 @@ def crossover(parent_a: Organism, parent_b: Organism,
                 return None  # bare root cannot hold unfused siblings
             target = with_children(root, trees) if partitioned else trees[0]
         trial = roots[:idx] + [target] + roots[idx + 1:]
-        return trial if _placement_legal(trial, idx, graph) else None
+        return trial if _placement_legal(trial, idx, graph, memo) else None
 
     for op_id in graph.op_ids():
         first = rng.randrange(2)
@@ -477,7 +531,7 @@ def crossover(parent_a: Organism, parent_b: Organism,
             roots = placed
 
     child = canonicalize(Organism(tuple(roots)), graph)
-    if fusion_legal(child, graph) is not None:
+    if not memo.legal(child):
         return parent_a  # cannot happen by construction; stay safe
     return child
 
@@ -568,7 +622,8 @@ class _Evaluator:
             elapsed = 0.0 if report.source == "analytic" \
                 else time.perf_counter() - self.t0
             self.log.append(LogEntry(key, report.total, self.generation,
-                                     elapsed, self.strategy))
+                                     elapsed, self.strategy,
+                                     report.diagnostic))
             if self.best is None or (report.total, key) < self.best[:2]:
                 self.best = (report.total, key, org)
                 self.best_report = report
@@ -589,7 +644,7 @@ class _Evaluator:
 
 
 def _ga_loop(graph: DataflowGraph, cfg: SearchConfig, ev: _Evaluator,
-             seed_org: Organism, rng: random.Random):
+             seed_org: Organism, rng: random.Random, memo: LegalityMemo):
     """Evolve a population of mutants of the seed with tournament
     selection, crossover, mutation and elitism; the evaluator raises
     _BudgetDone when the budget is spent."""
@@ -597,7 +652,7 @@ def _ga_loop(graph: DataflowGraph, cfg: SearchConfig, ev: _Evaluator,
     ev(seed_org)
     population: list[tuple[Organism, float]] = []
     for _ in range(n):
-        org = mutate(seed_org, graph, rng, cfg)
+        org = mutate(seed_org, graph, rng, cfg, memo)
         population.append((org, ev(org).total))
     for gen in range(1, cfg.generations + 1):
         ev.generation = gen
@@ -605,9 +660,10 @@ def _ga_loop(graph: DataflowGraph, cfg: SearchConfig, ev: _Evaluator,
                    for _ in range(2 * n)]
         children = []
         for i in range(n):
-            child = crossover(parents[2 * i], parents[2 * i + 1], graph, rng)
+            child = crossover(parents[2 * i], parents[2 * i + 1], graph, rng,
+                              memo)
             if rng.random() < MUTATION_PROB:
-                child = mutate(child, graph, rng, cfg)
+                child = mutate(child, graph, rng, cfg, memo)
             children.append(child)
         scored = [(c, ev(c).total) for c in children]
         # elitism: the incumbent best survives every generation
@@ -628,13 +684,14 @@ def run_strategy(strategy: str, graph: DataflowGraph, cfg: SearchConfig,
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = random.Random(cfg.seed)
     ev = _Evaluator(fitness, strategy, cfg)
+    memo = LegalityMemo(graph)  # this run's verdicts, dropped at its end
     with contextlib.suppress(_BudgetDone):
         if strategy == "mf":
             ev(max_fuse(graph, cfg.core_count))
         elif strategy in ("mfga", "ga"):
             seed_org = max_fuse(graph, cfg.core_count) if strategy == "mfga" \
                 else initial_forest(graph)
-            _ga_loop(graph, cfg, ev, seed_org, rng)
+            _ga_loop(graph, cfg, ev, seed_org, rng, memo)
         elif strategy == "random":
             org = initial_forest(graph)
             ev(org)
@@ -644,7 +701,7 @@ def run_strategy(strategy: str, graph: DataflowGraph, cfg: SearchConfig,
             for _ in range(10 * budget):
                 if len(ev.seen) >= budget + 1:
                     break
-                org = mutate(org, graph, rng, cfg)
+                org = mutate(org, graph, rng, cfg, memo)
                 ev(org)
         else:  # orthogonal pins the thread count, exhaustive enumerates it
             limits = Limits(

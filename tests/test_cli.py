@@ -163,6 +163,8 @@ class TestSearch:
         entries = [strict_json(line) for line in
                    (outdir / "log.jsonl").read_text().splitlines()]
         assert entries and all(e["fitness"] is None for e in entries)
+        assert all(e["diagnostic"].startswith("compile-failure: ")
+                   for e in entries)
 
     def test_no_compiler_exits_3_before_searching(self, tmp_path, capsys):
         outdir = tmp_path / "run"
@@ -292,7 +294,14 @@ def test_validation_leaves_no_temp_dirs(tmp_path, capsys, monkeypatch,
      "out: y : vector(column) { y = x + x }", "'main'"),
     ("Y in: x : vector(column) "
      "out: y : vector(column) { y = x + x }", "'y'"),
-], ids=["axis", "extent", "keyword", "header", "main", "data"])
+    ("TIME in: x : vector(column) "
+     "out: y : vector(column) { y = x + x }", "'time'"),
+    ("RAND in: x : vector(column) "
+     "out: y : vector(column) { y = x + x }", "'rand'"),
+    ("MACRO in: EOF : vector(column) "
+     "out: y : vector(column) { y = EOF + EOF }", "'EOF'"),
+], ids=["axis", "extent", "keyword", "header", "main", "data",
+        "header-function", "header-function-rand", "header-macro"])
 def test_names_c_cannot_declare_exit_2(text, name, tmp_path, capsys):
     src = tmp_path / "k.bto"
     src.write_text(text)

@@ -410,7 +410,8 @@ class TestTimingMain:
 
 
 class TestBodyNames:
-    """The kernel body's own locals never shadow a kernel's names."""
+    """The kernel body's own locals never shadow a kernel's names, and a
+    kernel's data may hide the headers' functions."""
 
     @pytest.mark.parametrize("text, organism", [
         ("BLOCK in: A : matrix(row), p0 : vector(column) "
@@ -426,6 +427,8 @@ class TestBodyNames:
          "A : matrix(row) out: y : vector(column) "
          "{ y = beta * A' * (A * t1_part) }",
          "{_{p(i)}{_i{_j 1}{_j 2}}}{_{p(j)}{_j 3}}"),
+        ("FUNCS in: time : vector(column), clock : vector(column) "
+         "out: div : vector(column) { div = time + clock }", None),
     ])
     def test_clashing_names_compile_and_validate(self, text, organism,
                                                  toolchain):

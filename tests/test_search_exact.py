@@ -9,12 +9,16 @@ a digest taken before it shared its rules with the notation parser and
 joint_partitions, and the C emitted for a wide set of organisms to a
 digest taken when the emitter last changed its loops, and the raw
 outputs of compiled kernels to a digest taken before it register-blocked
-them.
+them.  A run's legality memo answers as the checks it stands for: keyed
+on the pruning flag, checking each canonical root once per run, and
+starting empty in every run.
 """
 
 import hashlib
 import json
 import random
+
+import pytest
 
 from matfuse import fuse, search
 from matfuse.cemit import emit_c
@@ -58,8 +62,8 @@ def test_root_local_check_equals_full_check(monkeypatch):
     full_check = search._placement_legal
     verdicts = []
 
-    def both(roots, changed, graph):
-        got = full_check(roots, changed, graph)
+    def both(roots, changed, graph, memo=None):
+        got = full_check(roots, changed, graph, memo)
         want = fusion_legal(canonicalize(Organism(tuple(roots)), graph),
                             graph, partial=True) is None
         assert got == want, roots
@@ -97,6 +101,74 @@ def test_roots_legal_alone_but_cyclic_are_rejected():
                         partial=True)
     assert diag is not None and diag.rule == "order"
     assert not search._placement_legal(roots, 0, g)
+
+
+def flag_runs(graphs, strategy: str) -> list:
+    """A pruned then an unpruned run, one on each graph: the counts, the
+    winner and the log of each."""
+    out = []
+    for g, prune in zip(graphs, (True, False)):
+        cfg = SearchConfig(seed=3, population=10, generations=8, budget=80,
+                           require_shared_operand=prune)
+        extents = tuple((n, 1000) for n in g.extent_names)
+        fitness = cached(AnalyticCost(
+            g, MachineModel(core_count=8, extents=extents)))
+        res = run_strategy(strategy, g, cfg, fitness)
+        out.append((res.evaluations, res.cache_hits, res.best_key,
+                    [entry.as_dict() for entry in res.log]))
+    return out
+
+
+@pytest.mark.parametrize("name, strategy", [
+    ("gemver", "ga"), ("gemver", "random"), ("gesummv", "ga"),
+    ("gesummv", "random"), ("dgemv", "random"), ("waxpby", "mfga"),
+])
+def test_legality_memo_is_per_run_and_per_flag(name, strategy):
+    # the pruning flag changes what these runs explore; within a run
+    # crossover asks with pruning on and mutation with the run's flag
+    g = load_graph(name)
+    shared = flag_runs((g, g), strategy)
+    assert shared[0] != shared[1]
+    assert shared == flag_runs((load_graph(name), load_graph(name)),
+                               strategy)
+
+
+def test_legality_memo_keys_on_the_pruning_flag():
+    # a run's crossover children are legal with pruning on, so within a
+    # run the flag never flips a verdict; ask the memo directly
+    unpruned = Limits(require_shared_operand=False)
+    cases = [(g, org) for g in map(load_graph, SMALL_KERNELS)
+             for org in enumerate_space(g, unpruned)
+             if fusion_legal(org, g) is not None]
+    assert cases
+    for g, org in cases[:20]:
+        for flags in ((True, False), (False, True)):
+            memo = search.LegalityMemo(g)
+            for flag in flags:
+                want = fusion_legal(org, g, flag) is None
+                assert memo.legal(org, flag) == want, (org.key, flag)
+
+
+def test_each_canonical_root_is_checked_once_per_run(monkeypatch):
+    check = search.fusion_legal
+    roots = []
+
+    def recorded(org, graph, require_shared_operand=True, partial=False):
+        if partial:
+            roots.append(canonical_key(org))
+        return check(org, graph, require_shared_operand, partial)
+
+    monkeypatch.setattr(search, "fusion_legal", recorded)
+    g = load_graph("gemver")
+    counts = []
+    for _ in range(2):  # a memo that outlived the first run checks nothing
+        roots.clear()
+        cfg = SearchConfig(seed=0, population=10, generations=8)
+        run_strategy("mfga", g, cfg, cached(AnalyticCost(
+            g, MachineModel(core_count=8))))
+        assert roots and len(roots) == len(set(roots))
+        counts.append(len(roots))
+    assert counts[0] == counts[1]
 
 
 def search_log_digest() -> str:
