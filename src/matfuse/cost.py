@@ -20,6 +20,12 @@ register block's four rows, and validation runs the emitter's clamped
 rows and tail loops.  Both runs are child processes with a timeout,
 so a candidate that crashes or hangs costs one +inf fitness with a
 diagnostic and never ends or stalls the search.
+
+A search hands the timer the candidates it is about to ask for
+(CachedFitness.prefetch): those are built at once, one compiler per CPU
+(EmpiricalTimer.batch), and once every build has ended each is
+validated and timed in turn, so a timing run never overlaps a build or
+another candidate's run.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ from __future__ import annotations
 import logging
 import math
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from pathlib import Path
 
 from .fuse import Organism, PartitionNode, canonical_key, contracted_temporaries
 from .graph import DataflowGraph, bits
@@ -125,8 +132,10 @@ class EmpiricalTimer:
 
     Candidates are validated against the reference evaluator first;
     compile failures, crashes, timeouts and numerical mismatches all map
-    to +inf fitness with distinct diagnostics.  Evaluations are
-    serialized: one candidate process at a time.
+    to +inf fitness with distinct diagnostics.  A call evaluates one
+    candidate; `batch` builds many at once, then validates and times them
+    one at a time, so a timing run never overlaps a build of the batch
+    or another candidate's run.
     """
 
     def __init__(self, graph: DataflowGraph, toolchain=None,
@@ -148,16 +157,46 @@ class EmpiricalTimer:
             source_filter=self.source_filter,
         )
 
+    def batch(self, orgs: list[Organism]) -> list[CostReport]:
+        """The report of each organism, in order, equal to what a call
+        would give: every candidate is emitted and built first, each in
+        its own subdirectory of one temporary directory and all compiles
+        at once (Toolchain.compile_batch); then measure_empirical
+        validates and times each built candidate in turn."""
+        sources = [_kernel_source(org, self.graph, self.extents,
+                                  self.source_filter) for org in orgs]
+        with tempfile.TemporaryDirectory(prefix="matfuse-") as wd:
+            dirs = [Path(wd, str(i)) for i in range(len(orgs))]
+            for path in dirs:
+                path.mkdir()
+            built = self.toolchain.compile_batch(list(zip(sources, dirs)))
+            return [measure_empirical(org, self.graph, self.toolchain,
+                                      self.extents, self.reps, built=binary)
+                    for org, binary in zip(orgs, built)]
+
+
+def _kernel_source(org: Organism, graph: DataflowGraph,
+                   extents: dict[str, int], source_filter=None) -> str:
+    """The C an empirical evaluation builds for the organism."""
+    from .cemit import emit_c
+    from .lower import contract_arrays, lower
+
+    source = emit_c(contract_arrays(lower(org, graph)), extents).source
+    return source if source_filter is None else source_filter(source)
+
 
 def measure_empirical(org: Organism, graph: DataflowGraph, toolchain,
                       extents: dict[str, int], reps: int = 5,
-                      source_filter=None) -> CostReport:
+                      source_filter=None, built=None) -> CostReport:
     """Compile once, validate that binary at extents
     min(VALIDATION_EXTENT, extent), then time it at `extents`; +inf with a
-    diagnostic on any failure."""
+    diagnostic on any failure.
+
+    `built` is the organism's binary, or the ToolchainError its build
+    raised, when the caller has built it already (EmpiricalTimer.batch):
+    then nothing is emitted or compiled here.
+    """
     from . import runtime
-    from .cemit import emit_c
-    from .lower import contract_arrays, lower
 
     def failure(kind: str, detail: str) -> CostReport:
         logger.warning("empirical evaluation failed (%s): %s", kind, detail)
@@ -166,33 +205,44 @@ def measure_empirical(org: Organism, graph: DataflowGraph, toolchain,
             diagnostic=f"{kind}: {detail}",
         )
 
-    kernel = emit_c(contract_arrays(lower(org, graph)), extents)
-    if source_filter is not None:
-        kernel = replace(kernel, source=source_filter(kernel.source))
     small = {n: min(VALIDATION_EXTENT, extents[n]) for n in graph.extent_names}
+
+    def validate_and_time(binary) -> CostReport:
+        err = runtime.validation_error(binary, graph, small, seed=7)
+        if not err < runtime.REL_TOL:
+            return failure("numerical-mismatch",
+                           f"max relative error {err:.3e}")
+        seconds = runtime.time_binary(binary, extents, graph.extent_names,
+                                      reps)
+        return CostReport(total=seconds, source="empirical")
+
+    if isinstance(built, runtime.ToolchainError):
+        return failure(built.kind, str(built))
     try:
+        if built is not None:
+            return validate_and_time(built)
+        source = _kernel_source(org, graph, extents, source_filter)
         with tempfile.TemporaryDirectory(prefix="matfuse-") as wd:
-            binary = toolchain.compile(kernel.source, wd)
-            err = runtime.validation_error(binary, graph, small, seed=7)
-            if not err < runtime.REL_TOL:
-                return failure("numerical-mismatch",
-                               f"max relative error {err:.3e}")
-            seconds = runtime.time_binary(binary, extents, graph.extent_names,
-                                          reps)
+            return validate_and_time(toolchain.compile(source, wd))
     except runtime.ToolchainError as exc:
         return failure(exc.kind, str(exc))
-    return CostReport(total=seconds, source="empirical")
 
 
 class CachedFitness:
     """Memoizes fitness on the canonical organism key.  A table belongs to
-    one fitness function, whose extents are fixed."""
+    one fitness function, whose extents are fixed.
+
+    `prefetch` hands a function with a `batch` method (EmpiricalTimer)
+    the organisms a search is about to ask for; their reports wait until
+    each is asked for, so hits and misses count exactly as without it.
+    """
 
     def __init__(self, fn):
         self.fn = fn
         self.hits = 0
         self.misses = 0
         self._table: dict[str, CostReport] = {}
+        self._pending: dict[str, CostReport] = {}  # prefetched, not asked
 
     def __call__(self, org: Organism) -> CostReport:
         key = canonical_key(org)
@@ -200,9 +250,26 @@ class CachedFitness:
             self.hits += 1
             return self._table[key]
         self.misses += 1
-        report = self.fn(org)
+        report = self._pending.pop(key, None)
+        if report is None:
+            report = self.fn(org)
         self._table[key] = report
         return report
+
+    def prefetch(self, orgs: list[Organism]) -> None:
+        """Evaluate in one batch those organisms whose keys the table
+        lacks (the first of each key), if the function has a batch
+        method; otherwise do nothing."""
+        batch = getattr(self.fn, "batch", None)
+        if batch is None:
+            return
+        todo: dict[str, Organism] = {}
+        for org in orgs:
+            key = canonical_key(org)
+            if key not in self._table and key not in self._pending:
+                todo.setdefault(key, org)
+        if todo:
+            self._pending.update(zip(todo, batch(list(todo.values()))))
 
 
 def cached(fn) -> CachedFitness:

@@ -12,6 +12,11 @@ main cemit emits, and that one binary is both validated and timed:
 - timing (`time_binary`): `binary <extents> <reps>` fills the inputs
   from a fixed LCG and prints "seconds <float>" and "checksum <float>".
 
+`Toolchain.compile_batch` builds many candidates at once, one compiler
+per CPU this process may use, each into its own directory, and returns
+when every build has ended; the caller validates and times them after
+that, one at a time.
+
 Every compile and every run is a child in its own process group with a
 timeout: COMPILE_TIMEOUT_S for a compile, RUN_TIMEOUT_S for a timing run,
 and for a validation run a limit that grows with the doubles it reads and
@@ -19,8 +24,9 @@ writes (`validation_timeout`), since validation runs at small extents and
 takes milliseconds.  A candidate that fails to compile, crashes or hangs
 therefore raises ToolchainError, whose `kind` names the failure, and
 cannot kill or stall its caller; a hung child is killed with its whole
-group.  `run_kernel` still calls a shared object (main compiled out)
-in-process through ctypes, for tests and the benchmark's own checks.
+group, and so is every running child on an interrupt.  `run_kernel`
+still calls a shared object (main compiled out) in-process through
+ctypes, for tests and the benchmark's own checks.
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ import shutil
 import signal
 import subprocess
 import tempfile
+import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,33 +68,44 @@ class ToolchainError(RuntimeError):
         self.kind = kind
 
 
-def _run(argv: list[str], timeout: float, kind: str, what: str) -> str:
-    """Run `argv` as a child in a new process group and return its stdout.
-
-    A child that cannot start or that exits non-zero or by a signal raises
-    ToolchainError(kind).  One still running after `timeout` seconds is
-    killed together with its group (a compiler's own children too) and
-    raises ToolchainError("timeout").
-    """
-    shown = " ".join(argv)
+def _start(argv: list[str], kind: str, what: str) -> subprocess.Popen:
+    """Start `argv` as a child in a new process group, its output piped.
+    A child that cannot start raises ToolchainError(kind)."""
     try:
-        proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
+        return subprocess.Popen(argv, stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE, text=True,
                                 errors="replace", start_new_session=True)
     except OSError as exc:
         raise ToolchainError(kind, f"{what} could not start: {exc}") from None
+
+
+def _wait(proc: subprocess.Popen, deadline: float, timeout: float,
+          kind: str, what: str) -> str:
+    """Wait for a child of _start and return its stdout.
+
+    A child that exits non-zero or by a signal raises ToolchainError(kind).
+    One still running at `deadline` (a time.monotonic() instant, `timeout`
+    seconds after its start) is killed together with its group (a
+    compiler's own children too) and raises ToolchainError("timeout"); a
+    child that had exited by then is judged by its exit as usual.  An
+    interrupt kills the child with its group and is re-raised.
+    """
+    shown = " ".join(proc.args)
     with proc:
         try:
-            out, err = proc.communicate(timeout=timeout)
+            out, err = proc.communicate(
+                timeout=max(deadline - time.monotonic(), 0.0))
         except BaseException as exc:  # the timeout, or an interrupt
+            running = proc.poll() is None
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
-            proc.communicate()
-            if isinstance(exc, subprocess.TimeoutExpired):
+            out, err = proc.communicate()
+            if not isinstance(exc, subprocess.TimeoutExpired):
+                raise
+            if running:
                 raise ToolchainError(
                     "timeout", f"{what} timed out after {timeout:g} s: {shown}"
                 ) from None
-            raise
     code = proc.returncode
     if code != 0:
         try:
@@ -100,6 +119,13 @@ def _run(argv: list[str], timeout: float, kind: str, what: str) -> str:
             + (f":\n{detail}" if detail else "")
         )
     return out
+
+
+def _run(argv: list[str], timeout: float, kind: str, what: str) -> str:
+    """Run `argv` as a child in a new process group and return its stdout,
+    killing it with its group after `timeout` seconds (see _wait)."""
+    proc = _start(argv, kind, what)
+    return _wait(proc, time.monotonic() + timeout, timeout, kind, what)
 
 
 def find_cc() -> str | None:
@@ -140,16 +166,70 @@ class Toolchain:
         )
         return words + list(extra)
 
-    def compile(self, source: str, workdir: str | Path,
-                name: str = "kernel", shared: bool = False) -> Path:
-        workdir = Path(workdir)
+    def _command_for(self, source: str, workdir: Path, name: str,
+                     shared: bool) -> tuple[list[str], Path]:
+        """Write `source` to workdir/name.c; the command that builds it,
+        and the binary (a shared object, main compiled out, if `shared`)."""
         src = workdir / f"{name}.c"
         src.write_text(source)
         binary = workdir / (f"{name}.so" if shared else name)
         extra = ("-shared", "-fPIC", "-DMATFUSE_NO_MAIN") if shared else ()
-        _run(self.command(str(src), str(binary), extra), COMPILE_TIMEOUT_S,
-             "compile-failure", "compile")
+        return self.command(str(src), str(binary), extra), binary
+
+    def compile(self, source: str, workdir: str | Path,
+                name: str = "kernel", shared: bool = False) -> Path:
+        argv, binary = self._command_for(source, Path(workdir), name, shared)
+        _run(argv, COMPILE_TIMEOUT_S, "compile-failure", "compile")
         return binary
+
+    def compile_batch(self, jobs: list[tuple[str, Path]]
+                      ) -> list[Path | ToolchainError]:
+        """Build each (source, workdir) job as `compile` would, into its
+        own workdir: for each job, in order, its binary or the
+        ToolchainError `compile` would have raised.
+
+        The compiles run at once, at most one per CPU this process may use
+        and never more than there are jobs; a compile starts when the
+        oldest running one ends.  Each is its own process group, killed
+        with its group COMPILE_TIMEOUT_S after its start, and every one
+        still running is killed on an interrupt.  All have ended when this
+        returns.
+        """
+        results: list[Path | ToolchainError | None] = [None] * len(jobs)
+        width = min(len(os.sched_getaffinity(0)), len(jobs))
+        running: deque = deque()  # (job index, child, deadline, binary)
+
+        def finish():
+            idx, proc, deadline, binary = running.popleft()
+            try:
+                _wait(proc, deadline, COMPILE_TIMEOUT_S, "compile-failure",
+                      "compile")
+                results[idx] = binary
+            except ToolchainError as exc:
+                results[idx] = exc
+
+        try:
+            for idx, (source, workdir) in enumerate(jobs):
+                if len(running) == width:
+                    finish()
+                try:
+                    argv, binary = self._command_for(source, Path(workdir),
+                                                     "kernel", False)
+                    proc = _start(argv, "compile-failure", "compile")
+                except ToolchainError as exc:
+                    results[idx] = exc
+                    continue
+                deadline = time.monotonic() + COMPILE_TIMEOUT_S
+                running.append((idx, proc, deadline, binary))
+            while running:
+                finish()
+        finally:  # after an interrupt, no compile outlives the batch
+            for _, proc, _, _ in running:
+                with proc:
+                    with contextlib.suppress(ProcessLookupError):
+                        os.killpg(proc.pid, signal.SIGKILL)
+                    proc.communicate()
+        return results
 
 
 def _numpy_order(node) -> str:

@@ -28,6 +28,15 @@ for; that count is the evaluation budget and, with the generation and
 step counts, is what ends a search.  A cache shared between runs only
 saves computation.
 
+Where a strategy knows its next candidates before it scores any of them
+(the GA's initial mutants and each generation's children, the random
+walk's next steps, the thread sweep's candidates), it hands them to the
+fitness first (_Evaluator.prefetch), so an empirical fitness can build
+them all at once.  Only the distinct organisms the run has not asked
+for go, no more than the budget leaves, and the run then asks for each
+in the same order as it would without: logs, counts and organisms are
+unchanged.
+
 Each run also keeps a memo of legality verdicts (LegalityMemo), made
 when the run starts and dropped when it ends: the pure checks crossover
 and mutation repeat on the same roots and children are computed once
@@ -39,6 +48,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import random
 import time
 from dataclasses import asdict, dataclass
@@ -556,7 +566,9 @@ def thread_sweep(org: Organism, evaluate, core_count: int,
     return (best, candidates tried).  per_partition=True tries every
     combination of per-partition counts instead, the first `budget` of
     them; an evaluator that raises when its run's budget is spent ends
-    the sweep there."""
+    the sweep there.  `evaluate` is a CachedFitness or a run's evaluator:
+    its `prefetch` gets the organism and every candidate before any is
+    evaluated."""
     if not org.threads:
         return org, 0
     counts = list(range(2, core_count + 1, 2))
@@ -572,6 +584,7 @@ def thread_sweep(org: Organism, evaluate, core_count: int,
     else:
         candidates = [with_threads(org, (t,) * len(org.threads))
                       for t in counts]
+    evaluate.prefetch([org, *candidates])
     best = org
     best_score = evaluate(org).total, canonical_key(org)
     tried = 0
@@ -609,12 +622,29 @@ class _Evaluator:
         self.best_report: CostReport | None = None
         self.t0 = time.perf_counter()
 
+    def room(self) -> float:
+        """How many more distinct organisms this run may ask for; the seed
+        evaluation is always allowed, even at budget 0."""
+        if self.cfg.budget is None:
+            return math.inf
+        return max(self.cfg.budget, 1) - len(self.seen)
+
+    def prefetch(self, orgs: list[Organism]) -> None:
+        """Hand the fitness, before any is asked for, the organisms the
+        caller will ask for next, in order: the first of each key this run
+        has not asked for yet, no more than `room` of them.  Asking stays
+        one organism at a time, in the caller's order."""
+        fresh: dict[str, Organism] = {}
+        for org in orgs:
+            key = canonical_key(org)
+            if key not in self.seen and len(fresh) < self.room():
+                fresh.setdefault(key, org)
+        self.fitness.prefetch(list(fresh.values()))
+
     def __call__(self, org: Organism) -> CostReport:
         key = canonical_key(org)
         fresh = key not in self.seen
-        # the seed evaluation is always allowed, even at budget 0
-        if fresh and self.cfg.budget is not None \
-                and len(self.seen) >= max(self.cfg.budget, 1):
+        if fresh and self.room() <= 0:
             raise _BudgetDone()
         report = self.fitness(org)
         if fresh:
@@ -647,13 +677,14 @@ def _ga_loop(graph: DataflowGraph, cfg: SearchConfig, ev: _Evaluator,
              seed_org: Organism, rng: random.Random, memo: LegalityMemo):
     """Evolve a population of mutants of the seed with tournament
     selection, crossover, mutation and elitism; the evaluator raises
-    _BudgetDone when the budget is spent."""
+    _BudgetDone when the budget is spent.  The mutants, and each
+    generation's children, are all made before any is scored, and handed
+    to ev.prefetch together."""
     n = cfg.population
+    mutants = [mutate(seed_org, graph, rng, cfg, memo) for _ in range(n)]
+    ev.prefetch([seed_org, *mutants])
     ev(seed_org)
-    population: list[tuple[Organism, float]] = []
-    for _ in range(n):
-        org = mutate(seed_org, graph, rng, cfg, memo)
-        population.append((org, ev(org).total))
+    population = [(org, ev(org).total) for org in mutants]
     for gen in range(1, cfg.generations + 1):
         ev.generation = gen
         parents = [tournament_select(population, cfg.tournament_k, rng)
@@ -665,6 +696,7 @@ def _ga_loop(graph: DataflowGraph, cfg: SearchConfig, ev: _Evaluator,
             if rng.random() < MUTATION_PROB:
                 child = mutate(child, graph, rng, cfg, memo)
             children.append(child)
+        ev.prefetch(children)
         scored = [(c, ev(c).total) for c in children]
         # elitism: the incumbent best survives every generation
         best_fit, _, best_org = ev.best
@@ -673,6 +705,42 @@ def _ga_loop(graph: DataflowGraph, cfg: SearchConfig, ev: _Evaluator,
                         canonical_key(scored[i][0])))
             scored[worst] = (best_org, best_fit)
         population = scored
+
+
+def _random_walk(graph: DataflowGraph, cfg: SearchConfig, ev: _Evaluator,
+                 rng: random.Random, memo: LegalityMemo):
+    """Walk by single mutations from the unfused forest, asking for every
+    step, until the next step would be a distinct organism beyond the
+    budget (cfg.budget, else generations x population; the start organism
+    counts, and is always asked for) or 10 x budget steps are taken.
+
+    No step reads a fitness, so the walk runs ahead: its steps are made
+    in chunks of at most `population` distinct new organisms, and each
+    chunk goes to ev.prefetch before it is asked for, step by step.
+    """
+    budget = cfg.budget if cfg.budget is not None else \
+        cfg.generations * cfg.population
+    org = initial_forest(graph)
+    chunk, new = [org], {canonical_key(org)}
+
+    def ask():
+        ev.prefetch(chunk)
+        for step in chunk:
+            ev(step)
+
+    # a small kernel's legal space may be smaller than the budget
+    for _ in range(10 * budget):
+        org = mutate(org, graph, rng, cfg, memo)
+        key = canonical_key(org)
+        if key not in ev.seen and key not in new:
+            if len(ev.seen) + len(new) >= max(budget, 1):
+                break
+            if len(new) == cfg.population:
+                ask()
+                chunk, new = [], set()
+            new.add(key)
+        chunk.append(org)
+    ask()
 
 
 def run_strategy(strategy: str, graph: DataflowGraph, cfg: SearchConfig,
@@ -693,16 +761,7 @@ def run_strategy(strategy: str, graph: DataflowGraph, cfg: SearchConfig,
                 else initial_forest(graph)
             _ga_loop(graph, cfg, ev, seed_org, rng, memo)
         elif strategy == "random":
-            org = initial_forest(graph)
-            ev(org)
-            budget = cfg.budget if cfg.budget is not None else \
-                cfg.generations * cfg.population
-            # a small kernel's legal space may be smaller than the budget
-            for _ in range(10 * budget):
-                if len(ev.seen) >= budget + 1:
-                    break
-                org = mutate(org, graph, rng, cfg, memo)
-                ev(org)
+            _random_walk(graph, cfg, ev, rng, memo)
         else:  # orthogonal pins the thread count, exhaustive enumerates it
             limits = Limits(
                 max_ops=cfg.max_ops_exhaustive,

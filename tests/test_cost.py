@@ -1,7 +1,9 @@
 import math
 import os
+import signal
 import subprocess
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -367,3 +369,165 @@ class TestOneCompilePerCandidate:
                          str(tmp_path / "k.c"), "--extents", "20,20"])
         assert code == 0 and "validated" in capsys.readouterr().out
         assert len(compiles) == 1
+
+
+def batch_organisms(graph):
+    """Two unpartitioned and two partitioned organisms of BATAX."""
+    return [initial_forest(graph),
+            parse_notation("{_i{_j 1}{_j 2}}{_j 3}", graph),
+            max_fuse(graph, 2),
+            parse_notation("{_{p(i)}{_i{_j 1}{_j 2}}}{_j 3}", graph,
+                           threads=2)]
+
+
+@pytest.fixture
+def timeline(monkeypatch):
+    """("start" or "end", what, pid) for each child started and each child
+    waited for, in order: a child runs at most from its start to its
+    end."""
+    events = []
+    real_start, real_wait = runtime._start, runtime._wait
+
+    def start(argv, kind, what):
+        proc = real_start(argv, kind, what)
+        events.append(("start", what, proc.pid))
+        return proc
+
+    def wait(proc, deadline, timeout, kind, what):
+        try:
+            return real_wait(proc, deadline, timeout, kind, what)
+        finally:
+            events.append(("end", what, proc.pid))
+
+    monkeypatch.setattr(runtime, "_start", start)
+    monkeypatch.setattr(runtime, "_wait", wait)
+    return events
+
+
+def most_compiles_at_once(events) -> int:
+    """The most compiles alive at once; asserts that no kernel binary
+    (validation or timing) is alive while a compile is."""
+    alive: dict[int, str] = {}
+    most = 0
+    for event, what, pid in events:
+        if event == "end":
+            del alive[pid]
+            continue
+        assert not alive or {what, *alive.values()} == {what}, \
+            f"a {what} started while {sorted(set(alive.values()))} ran"
+        alive[pid] = what
+        most = max(most, sum(w == "compile" for w in alive.values()))
+    assert not alive
+    return most
+
+
+class TestBatch:
+    """EmpiricalTimer.batch builds its candidates at once, one compile per
+    CPU at most, then validates and times them one at a time; each
+    candidate still fails on its own."""
+
+    def test_every_candidate_validates_and_times(self, batax, toolchain):
+        timer = EmpiricalTimer(batax, toolchain, {"M": 32, "N": 32}, reps=1)
+        orgs = batch_organisms(batax)
+        reports = timer.batch(orgs)
+        assert len(reports) == len(orgs)
+        assert all(r.source == "empirical" and not r.failed for r in reports)
+
+    def test_compile_failures_stay_with_their_candidates(
+            self, batax, toolchain, tmp_path, children):
+        def break_partitioned(source):
+            if "#pragma omp parallel for" in source:
+                return source + "#error partitioned\n"
+            return source
+
+        timer = EmpiricalTimer(batax, toolchain, {"M": 32, "N": 32}, reps=1,
+                               source_filter=break_partitioned)
+        orgs = batch_organisms(batax)
+        reports = timer.batch(orgs)
+        for idx, (org, report) in enumerate(zip(orgs, reports)):
+            if org.threads:
+                assert report.diagnostic.startswith("compile-failure")
+                assert f"/{idx}/kernel.c" in report.diagnostic
+            else:
+                assert not report.failed
+        assert sum(r.failed for r in reports) == 2
+        assert_nothing_left(tmp_path, children)
+
+    def test_hung_compiles_each_time_out(self, batax, toolchain, tmp_path,
+                                         children, monkeypatch):
+        # exec: the sleep is the child itself, so no killed grandchild can
+        # linger as a zombie in its group until init reaps it
+        monkeypatch.setattr(runtime, "COMPILE_TIMEOUT_S", 1.0)
+        hung = Toolchain(toolchain.cc, "sh -c 'exec sleep 30' {src} {bin}")
+        timer = EmpiricalTimer(batax, hung, {"M": 32, "N": 32}, reps=1)
+        start = time.monotonic()
+        reports = timer.batch(batch_organisms(batax))
+        assert time.monotonic() - start < 15.0
+        assert [r.diagnostic.split(":")[0:2] for r in reports] == \
+            [["timeout", " compile timed out after 1 s"]] * 4
+        assert_nothing_left(tmp_path, children)
+
+    def test_a_build_done_in_time_survives_a_hung_one(
+            self, batax, toolchain, tmp_path, children, monkeypatch):
+        """The partitioned candidate's compile hangs and is killed at its
+        limit; the other one, started beside it, finished long before it
+        is waited for, after its own limit, and still validates."""
+        monkeypatch.setattr(runtime, "COMPILE_TIMEOUT_S", 1.0)
+        monkeypatch.setattr(runtime.os, "sched_getaffinity",
+                            lambda pid: {0, 1})
+        real_wait = runtime._wait
+
+        def late_wait(*args):
+            try:
+                return real_wait(*args)
+            finally:  # the next child's limit surely passes meanwhile
+                time.sleep(0.2)
+
+        monkeypatch.setattr(runtime, "_wait", late_wait)
+        hang_if_partitioned = Toolchain(
+            toolchain.cc, "sh -c 'if grep -q \"omp parallel\" \"$0\"; then "
+            "exec sleep 30; fi; exec {cc} -O3 -fopenmp \"$0\" -o \"$1\"' "
+            "{src} {bin}")
+        timer = EmpiricalTimer(batax, hang_if_partitioned, {"M": 32, "N": 32},
+                               reps=1)
+        hung, done = timer.batch([max_fuse(batax, 2), initial_forest(batax)])
+        assert hung.diagnostic.startswith("timeout: compile timed out")
+        assert not done.failed
+        assert_nothing_left(tmp_path, children)
+
+    def test_an_interrupt_kills_every_compile(self, batax, toolchain,
+                                              tmp_path, children):
+        hung = Toolchain(toolchain.cc, "sh -c 'exec sleep 30' {src} {bin}")
+        timer = EmpiricalTimer(batax, hung, {"M": 32, "N": 32}, reps=1)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(KeyboardInterrupt):
+                timer.batch(batch_organisms(batax))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert_nothing_left(tmp_path, children)
+
+    def test_no_kernel_binary_runs_beside_a_compile(self, batax, toolchain,
+                                                    timeline):
+        timer = EmpiricalTimer(batax, toolchain, {"M": 32, "N": 32}, reps=1)
+        orgs = batch_organisms(batax)
+        assert not any(r.failed for r in timer.batch(orgs))
+        cpus = len(os.sched_getaffinity(0))
+        assert most_compiles_at_once(timeline) == min(cpus, len(orgs))
+        whats = [what for event, what, _ in timeline if event == "start"]
+        # every build first, then validation and timing of each in turn
+        assert whats == ["compile"] * 4 + ["kernel binary"] * 8
+
+    def test_compiles_at_once_never_exceed_the_cpus(self, batax, toolchain,
+                                                    timeline, monkeypatch):
+        monkeypatch.setattr(runtime.os, "sched_getaffinity",
+                            lambda pid: {0})
+        timer = EmpiricalTimer(batax, toolchain, {"M": 32, "N": 32}, reps=1)
+        assert not any(r.failed for r in timer.batch(batch_organisms(batax)))
+        assert most_compiles_at_once(timeline) == 1

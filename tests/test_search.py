@@ -5,7 +5,7 @@ import random
 import pytest
 
 from matfuse.corpus import available, load_graph
-from matfuse.cost import AnalyticCost, MachineModel, cached
+from matfuse.cost import AnalyticCost, EmpiricalTimer, MachineModel, cached
 from matfuse.fuse import (
     Limits, canonical_key, enumerate_space, format_notation, fusion_legal,
     initial_forest, parse_notation,
@@ -228,6 +228,15 @@ class TestStrategies:
             series.append(best)
         assert series == sorted(series, reverse=True)
 
+    @pytest.mark.parametrize("budget", [None, 7])
+    def test_random_walk_asks_for_its_budget(self, corpus_graphs, budget):
+        # the start organism counts toward the budget either way
+        res = run_strategy("random", corpus_graphs["gemver"],
+                           SearchConfig(population=4, generations=3, seed=0,
+                                        budget=budget),
+                           analytic(corpus_graphs["gemver"]))
+        assert res.evaluations == len(res.log) == (budget or 12)
+
     def test_random_budget_zero_evaluates_seed_only(self, batax):
         res = run_strategy("random", batax,
                            SearchConfig(core_count=8, seed=1, budget=0),
@@ -341,3 +350,69 @@ class TestDegenerateKernels:
                            SearchConfig(core_count=4, seed=1, generations=3),
                            analytic(g, M=10))
         assert res.best_key == "1"
+
+
+class Batched:
+    """A deterministic fitness with a batch method that records the keys
+    of each batch and the key of each organism asked for alone."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.batches: list[list[str]] = []
+        self.alone: list[str] = []
+
+    def __call__(self, org):
+        self.alone.append(canonical_key(org))
+        return self.fn(org)
+
+    def batch(self, orgs):
+        self.batches.append([canonical_key(o) for o in orgs])
+        return [self.fn(o) for o in orgs]
+
+
+class TestPrefetch:
+    """Handing the fitness batches ahead of time changes nothing a search
+    reports, builds only what the search then asks for, and never builds
+    beyond the budget."""
+
+    @pytest.mark.parametrize("budget", [None, 0, 1, 9, 40])
+    @pytest.mark.parametrize("strategy", ["random", "ga", "mfga"])
+    @pytest.mark.parametrize("name", ["gemver", "gesummv"])
+    def test_batches_change_nothing(self, corpus_graphs, name, strategy,
+                                    budget):
+        g = corpus_graphs[name]
+        cfg = SearchConfig(population=6, generations=5, seed=3, budget=budget)
+        solo = run_strategy(strategy, g, cfg, analytic(g))
+        fitness = Batched(analytic(g).fn)
+        batched = run_strategy(strategy, g, cfg, cached(fitness))
+        assert [e.as_dict() for e in batched.log] == \
+            [e.as_dict() for e in solo.log]
+        assert (batched.evaluations, batched.cache_hits, batched.best_key) \
+            == (solo.evaluations, solo.cache_hits, solo.best_key)
+        # every evaluation came from a batch, each organism built once and
+        # asked for, in order
+        assert fitness.alone == []
+        built = [key for keys in fitness.batches for key in keys]
+        assert built == [e.key for e in solo.log]
+        cap = math.inf if budget is None else max(budget, 1)
+        done = 0
+        for keys in fitness.batches:
+            assert 0 < len(keys) <= cap - done
+            done += len(keys)
+
+    def test_walk_batches_hold_a_population_at_most(self, corpus_graphs):
+        g = corpus_graphs["gemver"]
+        fitness = Batched(analytic(g).fn)
+        run_strategy("random", g, SearchConfig(population=5, budget=23),
+                     cached(fitness))
+        assert [len(keys) for keys in fitness.batches] == [5, 5, 5, 5, 3]
+
+    def test_empirical_walk_logs_the_solo_keys(self, batax, toolchain):
+        timer = EmpiricalTimer(batax, toolchain, {"M": 32, "N": 32}, reps=1)
+        cfg = SearchConfig(population=3, budget=5, seed=2, core_count=2)
+        batched = run_strategy("random", batax, cfg, cached(timer))
+        solo = run_strategy("random", batax, cfg, cached(timer.__call__))
+        assert [e.key for e in batched.log] == [e.key for e in solo.log]
+        assert (batched.evaluations, batched.cache_hits) == \
+            (solo.evaluations, solo.cache_hits)
+        assert not any(math.isinf(e.fitness) for e in batched.log)
