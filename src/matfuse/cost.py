@@ -21,11 +21,11 @@ rows and tail loops.  Both runs are child processes with a timeout,
 so a candidate that crashes or hangs costs one +inf fitness with a
 diagnostic and never ends or stalls the search.
 
-A search hands the timer the candidates it is about to ask for
-(CachedFitness.prefetch): those are built at once, one compiler per CPU
-(EmpiricalTimer.batch), and once every build has ended each is
-validated and timed in turn, so a timing run never overlaps a build or
-another candidate's run.
+Fitness is asked for in lists (CachedFitness.ask).  The timer builds a
+list's candidates at once, one compiler per CPU (EmpiricalTimer.batch),
+and once every build has ended validates and times each in turn, so a
+timing run never overlaps a build or another candidate's run.  A single
+call is a list of one.
 """
 
 from __future__ import annotations
@@ -132,10 +132,10 @@ class EmpiricalTimer:
 
     Candidates are validated against the reference evaluator first;
     compile failures, crashes, timeouts and numerical mismatches all map
-    to +inf fitness with distinct diagnostics.  A call evaluates one
-    candidate; `batch` builds many at once, then validates and times them
-    one at a time, so a timing run never overlaps a build of the batch
-    or another candidate's run.
+    to +inf fitness with distinct diagnostics.  `batch` builds many
+    candidates at once, then validates and times them one at a time, so
+    a timing run never overlaps a build of the batch or another
+    candidate's run; a call is a batch of one.
     """
 
     def __init__(self, graph: DataflowGraph, toolchain=None,
@@ -152,17 +152,14 @@ class EmpiricalTimer:
         self.source_filter = source_filter  # test hook: corrupts the source
 
     def __call__(self, org: Organism) -> CostReport:
-        return measure_empirical(
-            org, self.graph, self.toolchain, self.extents, self.reps,
-            source_filter=self.source_filter,
-        )
+        return self.batch([org])[0]
 
     def batch(self, orgs: list[Organism]) -> list[CostReport]:
-        """The report of each organism, in order, equal to what a call
-        would give: every candidate is emitted and built first, each in
-        its own subdirectory of one temporary directory and all compiles
-        at once (Toolchain.compile_batch); then measure_empirical
-        validates and times each built candidate in turn."""
+        """The report of each organism, in order: every candidate is
+        emitted and built first, each in its own subdirectory of one
+        temporary directory and all compiles at once
+        (Toolchain.compile_batch); then measure_empirical validates and
+        times each built candidate in turn."""
         sources = [_kernel_source(org, self.graph, self.extents,
                                   self.source_filter) for org in orgs]
         with tempfile.TemporaryDirectory(prefix="matfuse-") as wd:
@@ -170,8 +167,8 @@ class EmpiricalTimer:
             for path in dirs:
                 path.mkdir()
             built = self.toolchain.compile_batch(list(zip(sources, dirs)))
-            return [measure_empirical(org, self.graph, self.toolchain,
-                                      self.extents, self.reps, built=binary)
+            return [measure_empirical(org, self.graph, binary, self.extents,
+                                      self.reps)
                     for org, binary in zip(orgs, built)]
 
 
@@ -185,16 +182,16 @@ def _kernel_source(org: Organism, graph: DataflowGraph,
     return source if source_filter is None else source_filter(source)
 
 
-def measure_empirical(org: Organism, graph: DataflowGraph, toolchain,
-                      extents: dict[str, int], reps: int = 5,
-                      source_filter=None, built=None) -> CostReport:
-    """Compile once, validate that binary at extents
+def measure_empirical(org: Organism, graph: DataflowGraph, built,
+                      extents: dict[str, int], reps: int = 5) -> CostReport:
+    """Validate the organism's built binary at extents
     min(VALIDATION_EXTENT, extent), then time it at `extents`; +inf with a
     diagnostic on any failure.
 
-    `built` is the organism's binary, or the ToolchainError its build
-    raised, when the caller has built it already (EmpiricalTimer.batch):
-    then nothing is emitted or compiled here.
+    `built` is the binary EmpiricalTimer.batch built from `org`, or the
+    ToolchainError its build raised.  Nothing here reads `org`: it comes
+    first so that a wrapper of this function sees which candidate each
+    measurement is of.
     """
     from . import runtime
 
@@ -205,36 +202,29 @@ def measure_empirical(org: Organism, graph: DataflowGraph, toolchain,
             diagnostic=f"{kind}: {detail}",
         )
 
+    if isinstance(built, runtime.ToolchainError):
+        return failure(built.kind, str(built))
     small = {n: min(VALIDATION_EXTENT, extents[n]) for n in graph.extent_names}
-
-    def validate_and_time(binary) -> CostReport:
-        err = runtime.validation_error(binary, graph, small, seed=7)
+    try:
+        err = runtime.validation_error(built, graph, small, seed=7)
         if not err < runtime.REL_TOL:
             return failure("numerical-mismatch",
                            f"max relative error {err:.3e}")
-        seconds = runtime.time_binary(binary, extents, graph.extent_names,
+        seconds = runtime.time_binary(built, extents, graph.extent_names,
                                       reps)
-        return CostReport(total=seconds, source="empirical")
-
-    if isinstance(built, runtime.ToolchainError):
-        return failure(built.kind, str(built))
-    try:
-        if built is not None:
-            return validate_and_time(built)
-        source = _kernel_source(org, graph, extents, source_filter)
-        with tempfile.TemporaryDirectory(prefix="matfuse-") as wd:
-            return validate_and_time(toolchain.compile(source, wd))
     except runtime.ToolchainError as exc:
         return failure(exc.kind, str(exc))
+    return CostReport(total=seconds, source="empirical")
 
 
 class CachedFitness:
     """Memoizes fitness on the canonical organism key.  A table belongs to
     one fitness function, whose extents are fixed.
 
-    `prefetch` hands a function with a `batch` method (EmpiricalTimer)
-    the organisms a search is about to ask for; their reports wait until
-    each is asked for, so hits and misses count exactly as without it.
+    Fitness is asked for in lists (`ask`); the organisms a list misses
+    are evaluated together, through the function's `batch` method when
+    it has one (EmpiricalTimer), and hits and misses count as if the
+    organisms had been asked for one at a time.
     """
 
     def __init__(self, fn):
@@ -242,34 +232,27 @@ class CachedFitness:
         self.hits = 0
         self.misses = 0
         self._table: dict[str, CostReport] = {}
-        self._pending: dict[str, CostReport] = {}  # prefetched, not asked
 
     def __call__(self, org: Organism) -> CostReport:
-        key = canonical_key(org)
-        if key in self._table:
-            self.hits += 1
-            return self._table[key]
-        self.misses += 1
-        report = self._pending.pop(key, None)
-        if report is None:
-            report = self.fn(org)
-        self._table[key] = report
-        return report
+        return self.ask([org])[0]
 
-    def prefetch(self, orgs: list[Organism]) -> None:
-        """Evaluate in one batch those organisms whose keys the table
-        lacks (the first of each key), if the function has a batch
-        method; otherwise do nothing."""
-        batch = getattr(self.fn, "batch", None)
-        if batch is None:
-            return
+    def ask(self, orgs: list[Organism]) -> list[CostReport]:
+        """The report of each organism, in order.  The first organism of
+        each key the table lacks is a miss, every other one a hit."""
+        keys = [canonical_key(org) for org in orgs]
         todo: dict[str, Organism] = {}
-        for org in orgs:
-            key = canonical_key(org)
-            if key not in self._table and key not in self._pending:
-                todo.setdefault(key, org)
+        for key, org in zip(keys, orgs):
+            if key in self._table or key in todo:
+                self.hits += 1
+            else:
+                self.misses += 1
+                todo[key] = org
         if todo:
-            self._pending.update(zip(todo, batch(list(todo.values()))))
+            batch = getattr(self.fn, "batch", None)
+            reports = batch(list(todo.values())) if batch is not None \
+                else [self.fn(org) for org in todo.values()]
+            self._table.update(zip(todo, reports))
+        return [self._table[key] for key in keys]
 
 
 def cached(fn) -> CachedFitness:

@@ -28,14 +28,14 @@ for; that count is the evaluation budget and, with the generation and
 step counts, is what ends a search.  A cache shared between runs only
 saves computation.
 
-Where a strategy knows its next candidates before it scores any of them
-(the GA's initial mutants and each generation's children, the random
-walk's next steps, the thread sweep's candidates), it hands them to the
-fitness first (_Evaluator.prefetch), so an empirical fitness can build
-them all at once.  Only the distinct organisms the run has not asked
-for go, no more than the budget leaves, and the run then asks for each
-in the same order as it would without: logs, counts and organisms are
-unchanged.
+Every strategy asks for fitness in lists (_Evaluator.ask), so an
+empirical fitness can build a list's candidates at once: the GA's seed
+and initial mutants, then each generation's children; the random walk's
+steps, in chunks of at most `population` new organisms; the enumerating
+strategies' organisms, in chunks of `population`; the max-fuse seed
+alone; and the thread sweep's candidates.  A list is answered as if its
+organisms were asked for one at a time: it stops at the first distinct
+organism beyond the budget, and logs and counts follow the list's order.
 
 Each run also keeps a memo of legality verdicts (LegalityMemo), made
 when the run starts and dropped when it ends: the pure checks crossover
@@ -565,10 +565,9 @@ def thread_sweep(org: Organism, evaluate, core_count: int,
     """Try global thread counts {2, 4, ..., core_count} on the organism,
     return (best, candidates tried).  per_partition=True tries every
     combination of per-partition counts instead, the first `budget` of
-    them; an evaluator that raises when its run's budget is spent ends
-    the sweep there.  `evaluate` is a CachedFitness or a run's evaluator:
-    its `prefetch` gets the organism and every candidate before any is
-    evaluated."""
+    them.  `evaluate` is a CachedFitness or a run's evaluator, asked once
+    for the organism and every candidate, in that order; an evaluator
+    that raises when its run's budget is spent ends the sweep there."""
     if not org.threads:
         return org, 0
     counts = list(range(2, core_count + 1, 2))
@@ -584,24 +583,26 @@ def thread_sweep(org: Organism, evaluate, core_count: int,
     else:
         candidates = [with_threads(org, (t,) * len(org.threads))
                       for t in counts]
-    evaluate.prefetch([org, *candidates])
+    reports = evaluate.ask([org, *candidates])
     best = org
-    best_score = evaluate(org).total, canonical_key(org)
-    tried = 0
-    for cand in candidates:
-        report = evaluate(cand)
-        tried += 1
+    best_score = reports[0].total, canonical_key(org)
+    for cand, report in zip(candidates, reports[1:]):
         score = (report.total, canonical_key(cand))
         if score < best_score:
             best, best_score = cand, score
-    return best, tried
+    return best, len(candidates)
 
 
 # ---------------------------------------------------------------------------
 # Search driver
 
 class _BudgetDone(Exception):
-    pass
+    """The run's budget ended a list ask after its first `answered`
+    organisms."""
+
+    def __init__(self, answered: int):
+        super().__init__(answered)
+        self.answered = answered
 
 
 class _Evaluator:
@@ -629,25 +630,23 @@ class _Evaluator:
             return math.inf
         return max(self.cfg.budget, 1) - len(self.seen)
 
-    def prefetch(self, orgs: list[Organism]) -> None:
-        """Hand the fitness, before any is asked for, the organisms the
-        caller will ask for next, in order: the first of each key this run
-        has not asked for yet, no more than `room` of them.  Asking stays
-        one organism at a time, in the caller's order."""
-        fresh: dict[str, Organism] = {}
-        for org in orgs:
-            key = canonical_key(org)
-            if key not in self.seen and len(fresh) < self.room():
-                fresh.setdefault(key, org)
-        self.fitness.prefetch(list(fresh.values()))
-
-    def __call__(self, org: Organism) -> CostReport:
-        key = canonical_key(org)
-        fresh = key not in self.seen
-        if fresh and self.room() <= 0:
-            raise _BudgetDone()
-        report = self.fitness(org)
-        if fresh:
+    def ask(self, orgs: list[Organism]) -> list[CostReport]:
+        """The report of each organism, in order, the first of each key
+        this run has not asked for logged in turn.  The list stops at the
+        first such organism beyond the budget: the ones before it are
+        evaluated and logged, then _BudgetDone is raised."""
+        keys = [canonical_key(org) for org in orgs]
+        n, fresh = 0, set()
+        for key in keys:
+            if key not in self.seen and key not in fresh:
+                if len(fresh) >= self.room():
+                    break
+                fresh.add(key)
+            n += 1
+        reports = self.fitness.ask(orgs[:n])
+        for key, org, report in zip(keys, orgs, reports):
+            if key in self.seen:
+                continue
             self.seen.add(key)
             elapsed = 0.0 if report.source == "analytic" \
                 else time.perf_counter() - self.t0
@@ -657,7 +656,9 @@ class _Evaluator:
             if self.best is None or (report.total, key) < self.best[:2]:
                 self.best = (report.total, key, org)
                 self.best_report = report
-        return report
+        if n < len(orgs):
+            raise _BudgetDone(n)
+        return reports
 
     def result(self, sweeps: int) -> SearchResult:
         assert self.best is not None, "no evaluations happened"
@@ -677,14 +678,12 @@ def _ga_loop(graph: DataflowGraph, cfg: SearchConfig, ev: _Evaluator,
              seed_org: Organism, rng: random.Random, memo: LegalityMemo):
     """Evolve a population of mutants of the seed with tournament
     selection, crossover, mutation and elitism; the evaluator raises
-    _BudgetDone when the budget is spent.  The mutants, and each
-    generation's children, are all made before any is scored, and handed
-    to ev.prefetch together."""
+    _BudgetDone when the budget is spent.  The seed and its mutants are
+    asked for in one list, and each generation's children in another."""
     n = cfg.population
     mutants = [mutate(seed_org, graph, rng, cfg, memo) for _ in range(n)]
-    ev.prefetch([seed_org, *mutants])
-    ev(seed_org)
-    population = [(org, ev(org).total) for org in mutants]
+    reports = ev.ask([seed_org, *mutants])[1:]
+    population = [(org, r.total) for org, r in zip(mutants, reports)]
     for gen in range(1, cfg.generations + 1):
         ev.generation = gen
         parents = [tournament_select(population, cfg.tournament_k, rng)
@@ -696,8 +695,7 @@ def _ga_loop(graph: DataflowGraph, cfg: SearchConfig, ev: _Evaluator,
             if rng.random() < MUTATION_PROB:
                 child = mutate(child, graph, rng, cfg, memo)
             children.append(child)
-        ev.prefetch(children)
-        scored = [(c, ev(c).total) for c in children]
+        scored = [(c, r.total) for c, r in zip(children, ev.ask(children))]
         # elitism: the incumbent best survives every generation
         best_fit, _, best_org = ev.best
         if min(s for _, s in scored) > best_fit:
@@ -714,20 +712,13 @@ def _random_walk(graph: DataflowGraph, cfg: SearchConfig, ev: _Evaluator,
     budget (cfg.budget, else generations x population; the start organism
     counts, and is always asked for) or 10 x budget steps are taken.
 
-    No step reads a fitness, so the walk runs ahead: its steps are made
-    in chunks of at most `population` distinct new organisms, and each
-    chunk goes to ev.prefetch before it is asked for, step by step.
+    No step reads a fitness, so the walk runs ahead: its steps are asked
+    for in chunks of at most `population` distinct new organisms.
     """
     budget = cfg.budget if cfg.budget is not None else \
         cfg.generations * cfg.population
     org = initial_forest(graph)
     chunk, new = [org], {canonical_key(org)}
-
-    def ask():
-        ev.prefetch(chunk)
-        for step in chunk:
-            ev(step)
-
     # a small kernel's legal space may be smaller than the budget
     for _ in range(10 * budget):
         org = mutate(org, graph, rng, cfg, memo)
@@ -736,18 +727,20 @@ def _random_walk(graph: DataflowGraph, cfg: SearchConfig, ev: _Evaluator,
             if len(ev.seen) + len(new) >= max(budget, 1):
                 break
             if len(new) == cfg.population:
-                ask()
+                ev.ask(chunk)
                 chunk, new = [], set()
             new.add(key)
         chunk.append(org)
-    ask()
+    ev.ask(chunk)
 
 
 def run_strategy(strategy: str, graph: DataflowGraph, cfg: SearchConfig,
                  fitness) -> SearchResult:
     """Run one search strategy (see STRATEGIES) until it ends or the
     budget is spent; mfga, ga and orthogonal then sweep the winner's
-    thread count, logged one generation after the search."""
+    thread count, logged one generation after the search.  The enumerating
+    strategies ask for `enumerate_space`'s organisms in chunks of
+    `population`."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = random.Random(cfg.seed)
@@ -755,7 +748,7 @@ def run_strategy(strategy: str, graph: DataflowGraph, cfg: SearchConfig,
     memo = LegalityMemo(graph)  # this run's verdicts, dropped at its end
     with contextlib.suppress(_BudgetDone):
         if strategy == "mf":
-            ev(max_fuse(graph, cfg.core_count))
+            ev.ask([max_fuse(graph, cfg.core_count)])
         elif strategy in ("mfga", "ga"):
             seed_org = max_fuse(graph, cfg.core_count) if strategy == "mfga" \
                 else initial_forest(graph)
@@ -771,16 +764,19 @@ def run_strategy(strategy: str, graph: DataflowGraph, cfg: SearchConfig,
                 core_count=cfg.core_count,
                 require_shared_operand=cfg.require_shared_operand,
             )
-            for org in enumerate_space(graph, limits):
-                ev(org)
+            space = enumerate_space(graph, limits)
+            while chunk := list(itertools.islice(space, cfg.population)):
+                ev.ask(chunk)
     sweeps = 0
     if strategy in _SWEPT:
         ev.generation += 1
         if cfg.thread_mode != "const":
-            with contextlib.suppress(_BudgetDone):
+            try:
                 _, sweeps = thread_sweep(
                     ev.best[2], ev, cfg.core_count,
                     per_partition=(cfg.thread_mode == "exhaustive"),
                     budget=cfg.budget,
                 )
+            except _BudgetDone as done:  # the sweep asks [best, *candidates]
+                sweeps = done.answered - 1
     return ev.result(sweeps)

@@ -10,7 +10,7 @@ import pytest
 
 from matfuse import cli, cost, runtime
 from matfuse.cost import (
-    EmpiricalTimer, MachineModel, cached, estimate_cost, measure_empirical,
+    EmpiricalTimer, MachineModel, cached, estimate_cost,
 )
 from matfuse.cemit import emit_c
 from matfuse.corpus import kernel_path, load_graph
@@ -112,8 +112,6 @@ class TestAnalytic:
 
 class TestCaching:
     class CountingFitness:
-        parallel_safe = True
-
         def __init__(self, graph):
             self.graph = graph
             self.calls = 0
@@ -146,40 +144,62 @@ class TestCaching:
         fn(with_threads(org, tuple(4 for _ in org.threads)))
         assert fn.fn.calls == 2
 
+    def test_a_list_counts_as_if_asked_in_turn(self, batax):
+        """A list's hits and misses are those of one call per organism;
+        the keys it misses are evaluated together, in one batch."""
+        counting = self.CountingFitness(batax)
+        batches = []
+
+        class Batching:
+            def batch(self, orgs):
+                batches.append([o.key for o in orgs])
+                return [counting(o) for o in orgs]
+
+        fn = cached(Batching())
+        a = max_fuse(batax, 8)
+        b = with_threads(a, tuple(4 for _ in a.threads))
+        c = initial_forest(batax)
+        fn(a)
+        reports = fn.ask([b, a, b, c])
+        assert (fn.misses, fn.hits) == (3, 2)
+        assert batches == [[a.key], [b.key, c.key]]
+        assert reports == [estimate_cost(o, batax, MACHINE)
+                           for o in (b, a, b, c)]
+
 
 class TestEmpirical:
     def test_batax_organism_times_and_validates(self, batax, toolchain):
         org = max_fuse(batax, 2)
-        report = measure_empirical(org, batax, toolchain,
-                                   {"M": 200, "N": 200}, reps=2)
+        report = EmpiricalTimer(batax, toolchain, {"M": 200, "N": 200},
+                                reps=2)(org)
         assert report.source == "empirical"
         assert not report.failed
         assert report.total > 0
 
     def test_corrupted_source_reports_compile_failure(self, batax, toolchain):
-        report = measure_empirical(
-            initial_forest(batax), batax, toolchain, {"M": 50, "N": 50},
-            reps=1, source_filter=lambda s: s.replace("double", "dubble", 1),
-        )
+        report = EmpiricalTimer(
+            batax, toolchain, {"M": 50, "N": 50}, reps=1,
+            source_filter=lambda s: s.replace("double", "dubble", 1),
+        )(initial_forest(batax))
         assert report.failed
         assert report.diagnostic.startswith("compile-failure")
 
     def test_wrong_answers_never_get_finite_fitness(self, batax, toolchain):
-        report = measure_empirical(
-            initial_forest(batax), batax, toolchain, {"M": 50, "N": 50},
-            reps=1, source_filter=lambda s: s.replace("+=", "=", 1),
-        )
+        report = EmpiricalTimer(
+            batax, toolchain, {"M": 50, "N": 50}, reps=1,
+            source_filter=lambda s: s.replace("+=", "=", 1),
+        )(initial_forest(batax))
         assert report.failed
         assert report.diagnostic.startswith("numerical-mismatch")
 
     @pytest.mark.parametrize("store", [";", "y[j] = 0.0 / 0.0;"])
     def test_unwritten_or_nan_output_is_a_mismatch(self, batax, toolchain,
                                                    store):
-        report = measure_empirical(
-            max_fuse(batax, 2), batax, toolchain, {"M": 64, "N": 64},
-            reps=1, source_filter=lambda s: s.replace(
+        report = EmpiricalTimer(
+            batax, toolchain, {"M": 64, "N": 64}, reps=1,
+            source_filter=lambda s: s.replace(
                 "y[j] = t1[j] * beta;", store, 1),
-        )
+        )(max_fuse(batax, 2))
         assert report.failed
         assert report.diagnostic.startswith("numerical-mismatch")
 
@@ -268,11 +288,11 @@ class TestEmpiricalHygiene:
     def test_broken_timing_main_reports_compile_failure(self, batax,
                                                         toolchain):
         guard = "#ifndef MATFUSE_NO_MAIN"
-        report = measure_empirical(
-            initial_forest(batax), batax, toolchain, {"M": 50, "N": 50},
-            reps=1, source_filter=lambda s: s.replace(
+        report = EmpiricalTimer(
+            batax, toolchain, {"M": 50, "N": 50}, reps=1,
+            source_filter=lambda s: s.replace(
                 guard, guard + "\n#error broken timing main", 1),
-        )
+        )(initial_forest(batax))
         assert report.failed
         assert report.diagnostic.startswith("compile-failure")
 
@@ -293,9 +313,8 @@ class TestFaultIsolation:
     def test_segfault_is_a_runtime_crash_and_the_search_goes_on(
             self, batax, toolchain, tmp_path, children):
         crash = at_kernel_top("*(volatile double *)0 = 0.0;")
-        report = measure_empirical(max_fuse(batax, 2), batax, toolchain,
-                                   {"M": 32, "N": 32}, reps=1,
-                                   source_filter=crash)
+        report = EmpiricalTimer(batax, toolchain, {"M": 32, "N": 32}, reps=1,
+                                source_filter=crash)(max_fuse(batax, 2))
         assert report.failed
         assert report.diagnostic.startswith("runtime-crash: kernel binary "
                                              "failed (signal SIG")
@@ -312,9 +331,9 @@ class TestFaultIsolation:
     def test_hang_is_a_timeout(self, batax, toolchain, tmp_path, children,
                                monkeypatch):
         monkeypatch.setattr(runtime, "RUN_TIMEOUT_S", 1.0)
-        report = measure_empirical(max_fuse(batax, 2), batax, toolchain,
-                                   {"M": 32, "N": 32}, reps=1,
-                                   source_filter=at_kernel_top("for (;;);"))
+        report = EmpiricalTimer(batax, toolchain, {"M": 32, "N": 32}, reps=1,
+                                source_filter=at_kernel_top("for (;;);"))(
+            max_fuse(batax, 2))
         assert report.failed
         assert report.diagnostic.startswith("timeout: kernel binary timed "
                                             "out after 1 s")
@@ -332,12 +351,12 @@ class TestFaultIsolation:
             return real(argv, timeout, kind, what)
 
         monkeypatch.setattr(runtime, "_run", recorded)
-        report = measure_empirical(max_fuse(batax, 2), batax, toolchain,
-                                   {"M": 64, "N": 64}, reps=1)
+        report = EmpiricalTimer(batax, toolchain, {"M": 64, "N": 64},
+                                reps=1)(max_fuse(batax, 2))
         assert not report.failed
-        (compile_, _), (validate, limit), (time_, timed) = limits
-        assert (compile_, validate, time_) == \
-            ("compile", "kernel binary", "kernel binary")
+        # the build runs in Toolchain.compile_batch, not through _run
+        (validate, limit), (time_, timed) = limits
+        assert (validate, time_) == ("kernel binary", "kernel binary")
         assert limit <= 10.0
         assert timed == runtime.RUN_TIMEOUT_S
         assert runtime.validation_timeout(10 ** 12) == runtime.RUN_TIMEOUT_S
@@ -356,12 +375,21 @@ class TestOneCompilePerCandidate:
         monkeypatch.setattr(Toolchain, "compile", counted)
         return calls
 
-    def test_measure_empirical_compiles_once(self, batax, toolchain,
-                                             compiles):
-        report = measure_empirical(max_fuse(batax, 2), batax, toolchain,
-                                   {"M": 64, "N": 64}, reps=1)
+    def test_timer_call_builds_one_batch_job(self, batax, toolchain,
+                                             compiles, monkeypatch):
+        batches = []
+        real = Toolchain.compile_batch
+
+        def counted(self, jobs):
+            batches.append(len(jobs))
+            return real(self, jobs)
+
+        monkeypatch.setattr(Toolchain, "compile_batch", counted)
+        timer = EmpiricalTimer(batax, toolchain, {"M": 64, "N": 64}, reps=1)
+        report = timer(max_fuse(batax, 2))
         assert not report.failed
-        assert len(compiles) == 1
+        assert batches == [1]
+        assert len(compiles) == 0
 
     def test_cli_validation_compiles_once(self, toolchain, compiles, tmp_path,
                                           capsys):

@@ -12,6 +12,7 @@ from matfuse.fuse import (
 )
 from matfuse.graph import build_dataflow, infer_types
 from matfuse.lang import parse_kernel
+from matfuse.runtime import Toolchain
 from matfuse.search import (
     SearchConfig, crossover, max_fuse, mutate, run_strategy,
     thread_sweep, tournament_select, _edit, _fusion_moves,
@@ -330,6 +331,17 @@ class TestThreadSweep:
                                 budget=5)
         assert tried == 5
 
+    @pytest.mark.parametrize("budget,tried", [(6, 1), (7, 2), (8, 4)])
+    def test_budget_ending_mid_sweep_counts_what_it_asked(self, batax,
+                                                          budget, tried):
+        """The sweep of [best, t=2, t=4, t=6, t=8] stops at its first new
+        organism beyond the budget; the candidates before it count."""
+        cfg = SearchConfig(population=4, generations=2, seed=1, core_count=8,
+                           budget=budget)
+        res = run_strategy("mfga", batax, cfg, analytic(batax))
+        assert res.evaluations == budget
+        assert res.sweeps == tried
+
 
 class TestDegenerateKernels:
     def test_mfga_on_single_op_kernel(self):
@@ -371,24 +383,29 @@ class Batched:
 
 
 class TestPrefetch:
-    """Handing the fitness batches ahead of time changes nothing a search
-    reports, builds only what the search then asks for, and never builds
+    """Asking a batching fitness for lists changes nothing a search
+    reports, builds only what the search asks for, and never builds
     beyond the budget."""
 
     @pytest.mark.parametrize("budget", [None, 0, 1, 9, 40])
-    @pytest.mark.parametrize("strategy", ["random", "ga", "mfga"])
-    @pytest.mark.parametrize("name", ["gemver", "gesummv"])
-    def test_batches_change_nothing(self, corpus_graphs, name, strategy,
+    @pytest.mark.parametrize("name,strategy", [
+        *((name, strategy) for name in ("gemver", "gesummv")
+          for strategy in ("random", "ga", "mfga")),
+        *((name, strategy) for name in ("batax", "atax", "vadd")
+          for strategy in ("mf", "orthogonal", "exhaustive")),
+    ])
+    def test_batches_change_nothing(self, all_graphs, name, strategy,
                                     budget):
-        g = corpus_graphs[name]
+        g = all_graphs[name]
         cfg = SearchConfig(population=6, generations=5, seed=3, budget=budget)
         solo = run_strategy(strategy, g, cfg, analytic(g))
         fitness = Batched(analytic(g).fn)
         batched = run_strategy(strategy, g, cfg, cached(fitness))
         assert [e.as_dict() for e in batched.log] == \
             [e.as_dict() for e in solo.log]
-        assert (batched.evaluations, batched.cache_hits, batched.best_key) \
-            == (solo.evaluations, solo.cache_hits, solo.best_key)
+        assert (batched.evaluations, batched.cache_hits, batched.best_key,
+                batched.sweeps) == (solo.evaluations, solo.cache_hits,
+                                    solo.best_key, solo.sweeps)
         # every evaluation came from a batch, each organism built once and
         # asked for, in order
         assert fitness.alone == []
@@ -415,4 +432,33 @@ class TestPrefetch:
         assert [e.key for e in batched.log] == [e.key for e in solo.log]
         assert (batched.evaluations, batched.cache_hits) == \
             (solo.evaluations, solo.cache_hits)
+        assert not any(math.isinf(e.fitness) for e in batched.log)
+
+    def test_empirical_orthogonal_builds_in_batches(self, corpus_graphs,
+                                                     toolchain, monkeypatch):
+        g = corpus_graphs["vadd"]
+        timer = EmpiricalTimer(g, toolchain,
+                               {n: 32 for n in g.extent_names}, reps=1)
+        cfg = SearchConfig(population=3, seed=0, core_count=2)
+        solo = run_strategy("orthogonal", g, cfg, cached(timer.__call__))
+        compiles, batches = [], []
+        real_compile, real_batch = Toolchain.compile, Toolchain.compile_batch
+
+        def compile_(self, *args, **kwargs):
+            compiles.append(args)
+            return real_compile(self, *args, **kwargs)
+
+        def compile_batch(self, jobs):
+            batches.append(len(jobs))
+            return real_batch(self, jobs)
+
+        monkeypatch.setattr(Toolchain, "compile", compile_)
+        monkeypatch.setattr(Toolchain, "compile_batch", compile_batch)
+        batched = run_strategy("orthogonal", g, cfg, cached(timer))
+        assert compiles == []
+        assert sum(batches) == batched.evaluations
+        assert all(0 < size <= cfg.population for size in batches)
+        assert [e.key for e in batched.log] == [e.key for e in solo.log]
+        assert (batched.evaluations, batched.cache_hits, batched.sweeps) == \
+            (solo.evaluations, solo.cache_hits, solo.sweeps)
         assert not any(math.isinf(e.fitness) for e in batched.log)
