@@ -7,10 +7,12 @@ Subcommands:
     enumerate  list every legal organism of a small kernel
     corpus     type-check, max-fuse and validate the bundled kernels
 
-Exit codes are a stable contract: 0 success, 1 usage or environment
-problem, 2 kernel legality/type error, 3 toolchain error (for search:
-also no candidate succeeded).  A corpus run that fails several ways
-exits with the first of 1, 3, 2 that applies.
+Each command takes only the options it reads; any other is a usage
+error.  Exit codes are a stable contract (EXIT_CODES maps each error to
+its code): 0 success, 1 usage or environment problem, 2 kernel
+legality/type error, 3 toolchain error (for search: also no candidate
+succeeded).  A corpus run that fails several ways exits with the first
+of 1, 3, 2 that applies.
 """
 
 from __future__ import annotations
@@ -27,25 +29,38 @@ from . import corpus as corpus_mod
 from .cost import AnalyticCost, EmpiricalTimer, MachineModel, cached
 from .cemit import emit_c
 from .fuse import (
-    Limits, NotationError, SpaceError, canonical_key, dependence_diagnostic,
-    digit_space_size, enumerate_space, format_notation, fusion_legal,
-    parse_notation,
+    Limits, NotationError, SpaceError, canonical_key, digit_space_size,
+    enumerate_space, format_notation, fusion_legal, parse_notation,
 )
-from .graph import TypeCheckError, bits, build_dataflow, infer_types
+from .graph import TypeCheckError, build_dataflow, infer_types
 from .lang import KernelSpecError, KernelSyntaxError, free_vars, parse_kernel
 from .lower import contract_arrays, lower
 from .runtime import REL_TOL, Toolchain, ToolchainError, validation_error
 from .search import STRATEGIES, SearchConfig, max_fuse, run_strategy
 
-logger = logging.getLogger(__name__)
-
 EXIT_USAGE = 1
 EXIT_KERNEL = 2
 EXIT_TOOLCHAIN = 3
 
-# a file that is missing, a directory or unreadable, or a kernel file that
-# is not UTF-8 text: an environment problem, reported without a traceback
-FILE_ERRORS = (OSError, UnicodeError)
+# the exit code of each error a command reports without a traceback, found
+# by the error's nearest class here.  OSError and UnicodeError: a file that
+# is missing, a directory or unreadable, or a kernel file that is not UTF-8
+EXIT_CODES = {
+    KernelSyntaxError: EXIT_KERNEL,
+    KernelSpecError: EXIT_KERNEL,
+    TypeCheckError: EXIT_KERNEL,
+    NotationError: EXIT_KERNEL,
+    ToolchainError: EXIT_TOOLCHAIN,
+    SpaceError: EXIT_USAGE,
+    OSError: EXIT_USAGE,
+    UnicodeError: EXIT_USAGE,
+}
+REPORTED = tuple(EXIT_CODES)
+
+
+def _exit_code(exc: Exception) -> int:
+    return next(EXIT_CODES[cls] for cls in type(exc).__mro__
+                if cls in EXIT_CODES)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,53 +123,43 @@ def _bind_extents(vals: list[int], graph) -> dict[str, int]:
     return dict(zip(names, vals))
 
 
-def _grouping_diagnostic(exc: NotationError, graph):
-    """When a notation fails, check whether the top-level groups the
-    parser read already break dependence convexity, to report the real
-    problem."""
-    for group in exc.groups:
-        if group.bit_count() > 1:
-            diag = dependence_diagnostic(list(bits(group)), graph)
-            if diag is not None:
-                return diag
-    return None
-
-
 def _emit(org, graph, extents):
     return emit_c(contract_arrays(lower(org, graph)), extents)
 
 
-def _validate(kernel, graph, extents, toolchain) -> float:
-    """Build `kernel` once in a temporary directory and run that binary in
-    validation mode at `extents`."""
-    with tempfile.TemporaryDirectory(prefix="matfuse-") as wd:
-        binary = toolchain.compile(kernel.source, wd)
-        return validation_error(binary, graph, extents, seed=11)
-
-
-def _validator(args) -> Toolchain | None:
-    """The compiler that validates the C a command writes, or None under
-    --no-validate.  Finding none is a toolchain error."""
-    if args.no_validate:
+def _toolchain(args, empirical: bool = False) -> Toolchain | None:
+    """The command's one C compiler: for validating the C it writes unless
+    --no-validate, and for `empirical` fitness.  None when nothing needs
+    one; finding none is a toolchain error."""
+    if args.no_validate and not empirical:
         return None
     toolchain = Toolchain(args.cc, args.cc_template)
     if not toolchain.available:
-        raise ToolchainError("compile-failure", "validation needs a C "
-                             "compiler (or --no-validate)")
+        raise ToolchainError("compile-failure", (
+            "empirical fitness needs a C compiler" if args.no_validate
+            else "validation needs a C compiler (or --no-validate)"))
     return toolchain
 
 
-def _check(kernel, graph, extents, toolchain: Toolchain | None) -> int:
-    """Validate the written `kernel` unless `toolchain` is None: the exit
-    code, 0 when it matches the reference."""
+def _check(kernel, graph, extents, toolchain: Toolchain | None,
+           entry: dict | None = None) -> int:
+    """Build the written `kernel` once in a temporary directory and run it
+    in validation mode at `extents`, unless `toolchain` is None: the exit
+    code, 0 when it matches the reference.  The result is printed, or
+    recorded in a corpus report's `entry`."""
     if toolchain is None:
         return 0
-    err = _validate(kernel, graph, extents, toolchain)
-    print(f"validated against reference: max relative error {err:.3e}")
-    if not err < REL_TOL:
-        print("error: kernel output mismatch", file=sys.stderr)
-        return EXIT_KERNEL
-    return 0
+    with tempfile.TemporaryDirectory(prefix="matfuse-") as wd:
+        binary = toolchain.compile(kernel.source, wd)
+        err = validation_error(binary, graph, extents, seed=11)
+    code = 0 if err < REL_TOL else EXIT_KERNEL
+    if entry is not None:
+        entry.update(max_rel_error=err, validated=not code)
+    else:
+        print(f"validated against reference: max relative error {err:.3e}")
+        if code:
+            print("error: kernel output mismatch", file=sys.stderr)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +168,8 @@ def _check(kernel, graph, extents, toolchain: Toolchain | None) -> int:
 def cmd_compile(args) -> int:
     graph = _load_graph(args.kernel)
     if args.organism:
-        try:
-            org = parse_notation(args.organism, graph, threads=args.cores)
-        except NotationError as exc:
-            diag = _grouping_diagnostic(exc, graph)
-            print(f"error: {diag or exc}", file=sys.stderr)
-            return EXIT_KERNEL
-        diag = fusion_legal(org, graph)
+        org = parse_notation(args.organism, graph, threads=args.cores)
+        diag = fusion_legal(org, graph, not args.no_prune)
         if diag is not None:
             print(f"error: {diag}", file=sys.stderr)
             return EXIT_KERNEL
@@ -183,7 +183,7 @@ def cmd_compile(args) -> int:
     if org.threads:
         print(f"threads: {','.join(str(t) for t in org.threads)}")
     print(f"wrote {out}")
-    return _check(kernel, graph, extents, _validator(args))
+    return _check(kernel, graph, extents, _toolchain(args))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +192,7 @@ def cmd_compile(args) -> int:
 def cmd_search(args) -> int:
     graph = _load_graph(args.kernel)
     extents = _bind_extents(args.extents, graph)
-    validator = _validator(args)
+    toolchain = _toolchain(args, empirical=args.fitness == "empirical")
     cfg = SearchConfig(
         population=args.population,
         tournament_k=args.tournament,
@@ -211,18 +211,9 @@ def cmd_search(args) -> int:
         )
         fitness = cached(AnalyticCost(graph, machine))
     else:
-        toolchain = Toolchain(args.cc, args.cc_template)
-        if not toolchain.available:
-            print("error: empirical fitness needs a C compiler",
-                  file=sys.stderr)
-            return EXIT_TOOLCHAIN
         fitness = cached(EmpiricalTimer(graph, toolchain, extents,
                                         reps=args.reps))
-    try:
-        result = run_strategy(args.strategy, graph, cfg, fitness)
-    except SpaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    result = run_strategy(args.strategy, graph, cfg, fitness)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     log_path = outdir / "log.jsonl"
@@ -248,7 +239,8 @@ def cmd_search(args) -> int:
         print(f"error: no candidate succeeded "
               f"({result.best_report.diagnostic})", file=sys.stderr)
         return EXIT_TOOLCHAIN
-    return _check(kernel, graph, extents, validator)
+    return _check(kernel, graph, extents,
+                  None if args.no_validate else toolchain)
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +256,12 @@ def cmd_enumerate(args) -> int:
         partitions=not args.fusion_only,
         require_shared_operand=not args.no_prune,
     )
-    try:
-        count = 0
-        for org in enumerate_space(graph, limits):
-            count += 1
-            if not args.count_only:
-                print(canonical_key(org))
-        print(f"total {count}")
-    except SpaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    count = 0
+    for org in enumerate_space(graph, limits):
+        count += 1
+        if not args.count_only:
+            print(canonical_key(org))
+    print(f"total {count}")
     if args.digit_space:
         n = len(graph.ops)
         max_depth = max(
@@ -295,7 +283,7 @@ def cmd_corpus(args) -> int:
         return EXIT_USAGE
     names = [args.kernel.lower()] if args.kernel else list(
         corpus_mod.TABLE_KERNELS)
-    toolchain = _validator(args)
+    toolchain = _toolchain(args)
     report = []
     failures = set()  # the exit code of each way an entry failed
     for name in names:
@@ -320,21 +308,11 @@ def cmd_corpus(args) -> int:
             )
             if toolchain is not None:
                 extents = _bind_extents(args.extents, graph)
-                err = _validate(_emit(org, graph, extents), graph, extents,
-                                toolchain)
-                entry["max_rel_error"] = err
-                entry["validated"] = bool(err < REL_TOL)
-                if not entry["validated"]:
-                    failures.add(EXIT_KERNEL)
-        except (KernelSyntaxError, KernelSpecError, TypeCheckError) as exc:
+                failures.add(_check(_emit(org, graph, extents), graph,
+                                    extents, toolchain, entry))
+        except REPORTED as exc:
             entry["error"] = str(exc)
-            failures.add(EXIT_KERNEL)
-        except FILE_ERRORS as exc:
-            entry["error"] = str(exc)
-            failures.add(EXIT_USAGE)
-        except ToolchainError as exc:
-            entry["error"] = str(exc)
-            failures.add(EXIT_TOOLCHAIN)
+            failures.add(_exit_code(exc))
         report.append(entry)
     print(_json(report, indent=2))
     return next((code for code in (EXIT_USAGE, EXIT_TOOLCHAIN, EXIT_KERNEL)
@@ -343,18 +321,29 @@ def cmd_corpus(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--cores", type=_at_least(1), default=8,
-                   help="core count for partitioning and thread sweeps")
-    p.add_argument("--extents", type=_extent_list, default="1000,1000",
-                   help="problem extents, comma separated (M,N)")
-    p.add_argument("--cc", default=None, help="C compiler (env MATFUSE_CC)")
-    p.add_argument("--cc-template", default="",
-                   help="compile command template with {cc} {src} {bin}")
-    p.add_argument("--no-validate", action="store_true",
-                   help="skip reference validation of written C")
-    p.add_argument("--no-prune", action="store_true",
-                   help="disable the shared-operand fusion pruning heuristic")
+# options that several commands take, by flag
+OPTIONS = {
+    "--cores": dict(type=_at_least(1), default=8,
+                    help="core count for partitioning and thread sweeps"),
+    "--extents": dict(type=_extent_list, default="1000,1000",
+                      help="problem extents, comma separated (M,N)"),
+    "--cc": dict(default=None, help="C compiler (env MATFUSE_CC)"),
+    "--cc-template": dict(
+        default="", help="compile command template with {cc} {src} {bin}"),
+    "--no-validate": dict(action="store_true",
+                          help="skip reference validation of written C"),
+    "--no-prune": dict(
+        action="store_true",
+        help="disable the shared-operand fusion pruning heuristic"),
+    "--threads-mode": dict(choices=("const", "global", "exhaustive"),
+                           default="global"),
+}
+BUILD = ("--extents", "--cc", "--cc-template", "--no-validate")
+
+
+def _add(p, *flags):
+    for flag in flags:
+        p.add_argument(flag, **OPTIONS[flag])
 
 
 def build_parser() -> _Parser:
@@ -369,7 +358,7 @@ def build_parser() -> _Parser:
     p.add_argument("--organism", default=None,
                    help="fuse-set notation; default: max-fuse result")
     p.add_argument("-o", "--output", default="kernel.c")
-    _add_common(p)
+    _add(p, "--cores", *BUILD, "--no-prune")
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("search", help="run a search strategy")
@@ -383,34 +372,32 @@ def build_parser() -> _Parser:
     p.add_argument("--generations", type=_at_least(0), default=50)
     p.add_argument("--population", type=_at_least(2), default=20)
     p.add_argument("--tournament", type=_at_least(1), default=2)
-    p.add_argument("--threads-mode", choices=("const", "global", "exhaustive"),
-                   default="global")
+    _add(p, "--threads-mode")
     p.add_argument("--max-ops", type=_at_least(1), default=4,
                    help="exhaustive/orthogonal enumeration op limit")
     p.add_argument("--reps", type=_at_least(1), default=5,
                    help="timing repetitions for empirical fitness")
     p.add_argument("--out-dir", default="search-out")
-    _add_common(p)
+    _add(p, "--cores", *BUILD, "--no-prune")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("enumerate", help="list every legal organism")
     p.add_argument("kernel")
     p.add_argument("--max-ops", type=_at_least(1), default=4)
     p.add_argument("--max-threads", type=_at_least(1), default=8)
-    p.add_argument("--threads-mode", choices=("const", "global", "exhaustive"),
-                   default="global")
+    _add(p, "--threads-mode")
     p.add_argument("--fusion-only", action="store_true",
                    help="enumerate loop fusion only, no partitions")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--digit-space", action="store_true",
                    help="also print the legacy digit-encoding size")
-    _add_common(p)
+    _add(p, "--cores", "--no-prune")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("corpus", help="check the bundled kernels")
     p.add_argument("--kernel", default=None, help="run one kernel only")
     p.add_argument("--corpus-dir", default=None)
-    _add_common(p)
+    _add(p, "--cores", *BUILD)
     p.set_defaults(func=cmd_corpus)
     return parser
 
@@ -426,16 +413,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (KernelSyntaxError, KernelSpecError, TypeCheckError,
-            NotationError) as exc:
+    except REPORTED as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_KERNEL
-    except ToolchainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOOLCHAIN
-    except FILE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -71,12 +71,11 @@ from .graph import DataflowGraph, OpNode, bits
 
 class NotationError(ValueError):
     """Brace notation that names no well-shaped forest.  `diagnostic` is
-    the shape rule it breaks (None when the text itself is at fault) and
-    `groups` holds the op bitmask of each top-level group read, so a
-    caller can name a fusion rule the grouping already breaks."""
+    the rule it breaks: the dependence rule when a top-level group read
+    already breaks it, else the shape rule, and None when the text itself
+    is at fault."""
 
     diagnostic: "Diagnostic | None" = None
-    groups: tuple[int, ...] = ()
 
 
 class SpaceError(ValueError):
@@ -281,9 +280,15 @@ class _NotationParser:
         self.groups: list[int] = []  # op bitmask of each top-level group
 
     def fail(self, msg: str, diagnostic: Diagnostic | None = None):
+        """Raise NotationError, naming instead the dependence rule when a
+        top-level group read so far breaks it: that is the real problem."""
+        for group in self.groups:
+            dep = dependence_diagnostic(list(bits(group)), self.graph)
+            if dep is not None:
+                msg, diagnostic = str(dep), dep
+                break
         exc = NotationError(msg)
         exc.diagnostic = diagnostic
-        exc.groups = tuple(self.groups)
         raise exc
 
     def error(self, msg: str):
@@ -390,7 +395,8 @@ def parse_notation(
     operation is that operation's whole nest.  ``threads`` supplies
     per-partition counts in text order (a single int applies globally;
     default 1).  A forest of the wrong shape raises NotationError
-    carrying shape_diagnostic's verdict.
+    carrying shape_diagnostic's verdict, or the dependence verdict of a
+    top-level group that breaks convexity.
     """
     parser = _NotationParser(text, graph)
     org = Organism(parser.forest())

@@ -128,22 +128,25 @@ class LegalityMemo:
     """One run's legality verdicts on one graph, each computed by
     canonicalize and fusion_legal the first time it is asked for: a
     crossover root alone, keyed by the (frozen) root, and a whole
-    organism, keyed by its canonical key and the shared-operand flag.
-    A run owns its memo, so no verdict outlives the run."""
+    organism, keyed by its canonical key; both also by the shared-operand
+    flag.  A run owns its memo, so no verdict outlives the run."""
 
     def __init__(self, graph: DataflowGraph):
         self.graph = graph
-        self._roots: dict[IterNode, bool] = {}
+        self._roots: dict[tuple[IterNode, bool], bool] = {}
         self._organisms: dict[tuple[str, bool], bool] = {}
 
-    def root_legal(self, root: IterNode) -> bool:
+    def root_legal(self, root: IterNode,
+                   require_shared_operand: bool = True) -> bool:
         """Whether the root alone, canonicalized, passes the partial
         check."""
-        legal = self._roots.get(root)
+        key = root, require_shared_operand
+        legal = self._roots.get(key)
         if legal is None:
             alone = canonicalize(Organism((root,)), self.graph)
-            legal = fusion_legal(alone, self.graph, partial=True) is None
-            self._roots[root] = legal
+            legal = fusion_legal(alone, self.graph, require_shared_operand,
+                                 partial=True) is None
+            self._roots[key] = legal
         return legal
 
     def legal(self, org: Organism,
@@ -407,19 +410,21 @@ def _roots_ordered(masks: list[int], graph: DataflowGraph) -> bool:
 
 def _placement_legal(roots: list[IterNode], changed: int,
                      graph: DataflowGraph,
-                     memo: LegalityMemo | None = None) -> bool:
+                     memo: LegalityMemo | None = None,
+                     require_shared_operand: bool = True) -> bool:
     """Whether a growing child stays legal after roots[changed] took an op.
 
     Checks that root alone, then that all roots can be ordered.  This
-    equals fusion_legal(canonicalize(Organism(roots)), graph, partial=True)
-    when every other root passed it before: the fused-set, sibling-order
-    and reduction rules never span two roots, canonicalize only reorders
-    roots, and coverage holds by construction.  The root's verdict comes
-    from `memo`, the run's legality memo (a fresh one when None).
+    equals fusion_legal(canonicalize(Organism(roots)), graph,
+    require_shared_operand, partial=True) when every other root passed it
+    before: the fused-set, sibling-order and reduction rules never span
+    two roots, canonicalize only reorders roots, and coverage holds by
+    construction.  The root's verdict comes from `memo`, the run's
+    legality memo (a fresh one when None).
     """
     if memo is None:
         memo = LegalityMemo(graph)
-    return memo.root_legal(roots[changed]) \
+    return memo.root_legal(roots[changed], require_shared_operand) \
         and _roots_ordered([r.mask for r in roots], graph)
 
 
@@ -475,7 +480,8 @@ def _insert_into_tree(tree: IterNode, op_id: int, depth: int,
 
 def crossover(parent_a: Organism, parent_b: Organism,
               graph: DataflowGraph, rng: random.Random,
-              memo: LegalityMemo | None = None) -> Organism:
+              memo: LegalityMemo | None = None,
+              require_shared_operand: bool = True) -> Organism:
     """Recombine two organisms level by level, outermost inward.
 
     For each operation a coin picks which parent's grouping to follow at
@@ -483,8 +489,9 @@ def crossover(parent_a: Organism, parent_b: Organism,
     the deeper ones, and the new node inherits the chosen parent's
     partition axis and thread count.  Infeasible placements fall back to
     the other parent, then to a standalone unfused root, so the child is
-    always legal.  Legality verdicts come from `memo`, the run's legality
-    memo (a fresh one when None).
+    always legal under `require_shared_operand`, the run's pruning flag.
+    Legality verdicts come from `memo`, the run's legality memo (a fresh
+    one when None).
     """
     if memo is None:
         memo = LegalityMemo(graph)
@@ -530,7 +537,8 @@ def crossover(parent_a: Organism, parent_b: Organism,
                 return None  # bare root cannot hold unfused siblings
             target = with_children(root, trees) if partitioned else trees[0]
         trial = roots[:idx] + [target] + roots[idx + 1:]
-        return trial if _placement_legal(trial, idx, graph, memo) else None
+        return trial if _placement_legal(trial, idx, graph, memo,
+                                         require_shared_operand) else None
 
     for op_id in graph.op_ids():
         first = rng.randrange(2)
@@ -541,7 +549,7 @@ def crossover(parent_a: Organism, parent_b: Organism,
             roots = placed
 
     child = canonicalize(Organism(tuple(roots)), graph)
-    if not memo.legal(child):
+    if not memo.legal(child, require_shared_operand):
         return parent_a  # cannot happen by construction; stay safe
     return child
 
@@ -691,7 +699,7 @@ def _ga_loop(graph: DataflowGraph, cfg: SearchConfig, ev: _Evaluator,
         children = []
         for i in range(n):
             child = crossover(parents[2 * i], parents[2 * i + 1], graph, rng,
-                              memo)
+                              memo, cfg.require_shared_operand)
             if rng.random() < MUTATION_PROB:
                 child = mutate(child, graph, rng, cfg, memo)
             children.append(child)

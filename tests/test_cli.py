@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import pathlib
@@ -336,3 +337,65 @@ def test_bad_numeric_flag_exits_1(command, flag, value, tmp_path, capsys):
     assert code == 1
     assert f"error: argument {flag}:" in stderr
     assert not list(tmp_path.iterdir())
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    build = {"--extents", "--cc", "--cc-template", "--no-validate"}
+    want = {
+        "compile": {"--organism", "--output", "--cores", "--no-prune"}
+        | build,
+        "search": {"--strategy", "--fitness", "--seed", "--budget",
+                   "--generations", "--population", "--tournament",
+                   "--threads-mode", "--max-ops", "--reps", "--out-dir",
+                   "--cores", "--no-prune"} | build,
+        "enumerate": {"--max-ops", "--max-threads", "--threads-mode",
+                      "--fusion-only", "--count-only", "--digit-space",
+                      "--cores", "--no-prune"},
+        "corpus": {"--kernel", "--corpus-dir", "--cores"} | build,
+    }
+    got = {name: {a.option_strings[-1] for a in p._actions
+                  if a.option_strings and a.dest != "help"}
+           for name, p in sub.choices.items()}
+    assert got == want
+    assert sum(map(len, got.values())) == 40
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("enumerate", ["--extents", "5"]),
+    ("enumerate", ["--cc", "nonexistent-cc"]),
+    ("enumerate", ["--cc-template", "{cc} {src} -o {bin}"]),
+    ("enumerate", ["--no-validate"]),
+    ("corpus", ["--no-prune"]),
+])
+def test_option_the_command_does_not_read_exits_1(command, flags, capsys):
+    target = [str(kernel_path("vadd"))] if command == "enumerate" else []
+    code, stdout, stderr = run(capsys, command, *target, *flags)
+    assert code == 1
+    assert f"unrecognized arguments: {flags[0]}" in stderr
+    assert stdout == ""
+
+
+def test_compile_organism_honours_no_prune(tmp_path, capsys):
+    waxpby = str(kernel_path("waxpby"))
+    args = ["compile", waxpby, "-o", str(tmp_path / "k.c"), "--no-validate",
+            "--organism", "{_k 1 2}{_k 3}"]
+    code, _, stderr = run(capsys, *args)
+    assert code == 2
+    assert "shared-operand" in stderr
+    code, stdout, _ = run(capsys, *args, "--no-prune")
+    assert code == 0
+    assert "organism: {_k 1 2}{_k 3}" in stdout
+
+
+def test_empirical_search_without_compiler_exits_3_before_searching(
+        tmp_path, capsys):
+    outdir = tmp_path / "run"
+    code, _, stderr = run(
+        capsys, "search", str(kernel_path("vadd")), "--fitness", "empirical",
+        "--no-validate", "--cc", "/nonexistent/cc", "--out-dir", str(outdir),
+    )
+    assert code == 3
+    assert "error: empirical fitness needs a C compiler" in stderr
+    assert not outdir.exists()

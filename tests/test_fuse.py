@@ -124,6 +124,18 @@ class TestNotation:
         assert info.value.diagnostic == fusion_legal(shallow, batax)
         assert info.value.diagnostic.rule == "structure"
 
+    @pytest.mark.parametrize("text", [
+        "{{1} {3}} {{2}}",          # no axis to infer for the braces
+        "{_i{_j 1}{_j 3}}{_j 2}",   # op 3 under too many loops
+    ])
+    def test_grouping_that_breaks_dependence_names_it(self, batax, text):
+        # ops 1 and 3 depend through op 2: that, not the text, is at fault
+        with pytest.raises(NotationError) as info:
+            parse_notation(text, batax)
+        assert info.value.diagnostic.rule == "dependence"
+        assert info.value.diagnostic.ops == (1, 2, 3)
+        assert str(info.value) == str(info.value.diagnostic)
+
     @settings(max_examples=120, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
     def test_random_organisms_round_trip(self, batax, seed):

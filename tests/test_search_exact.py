@@ -62,10 +62,11 @@ def test_root_local_check_equals_full_check(monkeypatch):
     full_check = search._placement_legal
     verdicts = []
 
-    def both(roots, changed, graph, memo=None):
-        got = full_check(roots, changed, graph, memo)
+    def both(roots, changed, graph, memo=None, require_shared_operand=True):
+        got = full_check(roots, changed, graph, memo, require_shared_operand)
         want = fusion_legal(canonicalize(Organism(tuple(roots)), graph),
-                            graph, partial=True) is None
+                            graph, require_shared_operand,
+                            partial=True) is None
         assert got == want, roots
         verdicts.append(got)
         return got
@@ -83,6 +84,27 @@ def test_root_local_check_equals_full_check(monkeypatch):
             assert fusion_legal(child, g) is None, name
             pool.append(child)
     assert True in verdicts and False in verdicts
+
+
+def test_unpruned_crossover_keeps_unshared_fusions():
+    # mutation under the run's flag fuses ops that share no operand, and
+    # crossover asks with the same flag, so its children may keep such
+    # fusions: on WAXPBY by regrowing a parent's, on GESUMMV also in
+    # children unlike either parent
+    for name in ("waxpby", "gesummv"):
+        g = load_graph(name)
+        rng = random.Random(0)
+        cfg = SearchConfig(require_shared_operand=False)
+        pool = [random_organism(g, rng, cfg) for _ in range(40)]
+        rejected = []  # per child pruning rejects: is it unlike its parents
+        for _ in range(200):
+            a, b = rng.choice(pool), rng.choice(pool)
+            child = crossover(a, b, g, rng, require_shared_operand=False)
+            assert fusion_legal(child, g, False) is None, name
+            if fusion_legal(child, g) is not None:
+                rejected.append(child.key not in (a.key, b.key))
+        assert rejected, name
+    assert any(rejected)
 
 
 def test_roots_legal_alone_but_cyclic_are_rejected():
@@ -125,7 +147,7 @@ def flag_runs(graphs, strategy: str) -> list:
 ])
 def test_legality_memo_is_per_run_and_per_flag(name, strategy):
     # the pruning flag changes what these runs explore; within a run
-    # crossover asks with pruning on and mutation with the run's flag
+    # crossover and mutation both ask with the run's flag
     g = load_graph(name)
     shared = flag_runs((g, g), strategy)
     assert shared[0] != shared[1]
@@ -134,8 +156,9 @@ def test_legality_memo_is_per_run_and_per_flag(name, strategy):
 
 
 def test_legality_memo_keys_on_the_pruning_flag():
-    # a run's crossover children are legal with pruning on, so within a
-    # run the flag never flips a verdict; ask the memo directly
+    # within a run every question carries the run's flag, so the flag
+    # never flips a verdict there; ask the memo directly, for whole
+    # organisms and for crossover's roots
     unpruned = Limits(require_shared_operand=False)
     cases = [(g, org) for g in map(load_graph, SMALL_KERNELS)
              for org in enumerate_space(g, unpruned)
@@ -147,6 +170,10 @@ def test_legality_memo_keys_on_the_pruning_flag():
             for flag in flags:
                 want = fusion_legal(org, g, flag) is None
                 assert memo.legal(org, flag) == want, (org.key, flag)
+                for root in org.forest:
+                    alone = canonicalize(Organism((root,)), g)
+                    want = fusion_legal(alone, g, flag, partial=True) is None
+                    assert memo.root_legal(root, flag) == want, (root, flag)
 
 
 def test_each_canonical_root_is_checked_once_per_run(monkeypatch):
