@@ -1,15 +1,28 @@
 """C code emission for lowered kernels.
 
-Emits a self-contained C99 file: the kernel function (arrays first in
-declaration order, then output pointers, then extents) plus a timing and
-validation main guarded by MATFUSE_NO_MAIN.  Partition nodes become
-parallel-for pragmas over block indices with the thread count baked in;
-the pragmas degrade to serial loops when compiled without OpenMP.
-Partitioned reductions accumulate into per-thread partial buffers joined
-in ascending block order after the region, so results are bit-stable
-run to run at a fixed thread count.  The emitter names them
-`<result>_part` and each region's block `p<n>`, n counting the regions,
-stepping past the kernel's own names like every other name it adds.
+Emits a self-contained C file, C99 plus C11's `_Thread_local`: the kernel
+function (arrays first in declaration order, then output pointers, then
+extents) plus a timing and validation main guarded by MATFUSE_NO_MAIN.
+Partition nodes become parallel-for pragmas over block indices with the
+thread count baked in; the pragmas degrade to serial loops when compiled
+without OpenMP.  Partitioned reductions accumulate into per-thread
+partial buffers joined in ascending block order after the region, so
+results are bit-stable run to run at a fixed thread count.  The emitter
+names them `<result>_part` and each region's block `p<n>`, n counting the
+regions, stepping past the kernel's own names like every other name it
+adds.
+
+Each heap buffer of the kernel, an uncontracted array temporary or a
+partial buffer, lives in a workspace the kernel keeps between calls: a
+`static _Thread_local` pointer `<buffer>_ws` and its capacity in doubles
+`<buffer>_cap`.  A call reallocates the workspace only when it needs more
+than the capacity (a failed malloc leaves the capacity 0), and never frees
+it, so after the first call at a size a call makes no allocation and
+touches no fresh page.  Each calling thread has its own set, so threads
+may call the kernel at once; the workspace only grows, and a thread that
+exits does not free its own.  The region's threads share the caller's
+buffers through an ordinary local pointer, since each thread's
+`_Thread_local` is its own.
 
 Two register-level transforms shape the loops (Carr & Kennedy, TOPLAS
 1994); the IR itself still mirrors the organism tree:
@@ -168,6 +181,10 @@ class _Emitter:
         # the kernel's own names, which the body's fixed names must avoid
         self.names = _Names({*self.graph.data, *self.graph.extent_names,
                              *labels})
+        # the array temporaries that are not contracted live on the heap
+        self.arrays = [node for node in self.graph.data.values()
+                       if node.role == "temp" and node.order != "scalar"
+                       and node.name not in ir.contracted]
         # each joined result's partial buffer, named before any local
         self.partials = {result: self.names.fresh(f"{result}_part")
                          for region in ir.roots
@@ -193,6 +210,11 @@ class _Emitter:
                 _Copy({lab: row}, {name: names[u]
                                    for name, names in per_copy.items()})
                 for u, row in enumerate(rows))
+        # each heap buffer's workspace pointer and capacity
+        heap = [node.name for node in self.arrays] + [*self.partials.values()]
+        self.workspaces = {buf: (self.names.fresh(f"{buf}_ws"),
+                                 self.names.fresh(f"{buf}_cap"))
+                           for buf in heap}
 
     # -- reference rendering -------------------------------------------------
 
@@ -250,6 +272,19 @@ class _Emitter:
             self.w.put(f"double {c.names[op.result]} = 0.0;")
         else:
             self.w.put(f"{self.target_ref(op, c)} = 0.0;")
+
+    def emit_workspace(self, buf: str, elements: str):
+        """Declare `buf`, pointing at its workspace grown to at least
+        `elements` doubles."""
+        ws, cap = self.workspaces[buf]
+        self.w.put(f"static _Thread_local double *{ws};")
+        self.w.put(f"static _Thread_local size_t {cap};")
+        self.w.open(f"if ({cap} < {elements})")
+        self.w.put(f"free({ws});")
+        self.w.put(f"{ws} = (double *)malloc(sizeof(double) * {elements});")
+        self.w.put(f"{cap} = {ws} ? {elements} : 0;")
+        self.w.close()
+        self.w.put(f"double *{buf} = {ws};")
 
     # -- structure -------------------------------------------------------------
 
@@ -379,11 +414,8 @@ class _Emitter:
         b = self.block = self.names.name(f"p{next(self.regions)}")
         for result in region.partials:
             dims = self.graph.data[result].dims
-            size = " * ".join([str(t)] + [f"(size_t){e}" for e in dims])
-            self.w.put(
-                f"double *{self.partials[result]} = (double *)malloc("
-                f"sizeof(double) * (size_t){size});"
-            )
+            self.emit_workspace(self.partials[result], " * ".join(
+                f"(size_t){e}" for e in (t, *dims)))
         self.w.put(
             f"#pragma omp parallel for num_threads({t}) schedule(static)"
         )
@@ -397,8 +429,6 @@ class _Emitter:
         self.block = None
         for result in region.partials:
             self.emit_join(result, t)
-        for result in region.partials:
-            self.w.put(f"free({self.partials[result]});")
 
     def emit_join(self, result: str, t: int):
         """Each element of `result` sums its blocks' partials in ascending
@@ -465,19 +495,14 @@ def emit_c(ir: LoopIR, extents: dict[str, int] | None = None) -> GeneratedKernel
     w.put()
     w.open(f"void {kname}({', '.join(params)})")
 
-    # scalar temporaries up front, array temporaries on the heap
-    temps = [node for node in graph.data.values()
-             if node.role == "temp" and node.name not in ir.contracted]
-    arrays = [node for node in temps if node.order != "scalar"]
-    for node in temps:
-        if node.order == "scalar":
+    # scalar temporaries up front, array temporaries in their workspaces
+    for node in graph.data.values():
+        if node.role == "temp" and node.order == "scalar" \
+                and node.name not in ir.contracted:
             w.put(f"double {node.name} = 0.0;")
-    for node in arrays:
-        w.put(f"double *{node.name} = (double *)malloc(sizeof(double) * "
-              f"{_elements(node)});")
+    for node in em.arrays:
+        em.emit_workspace(node.name, _elements(node))
     em.emit_items(ir.roots)
-    for node in arrays:
-        w.put(f"free({node.name});")
     w.close()
     w.put()
     _emit_main(w, graph, kname, extents)

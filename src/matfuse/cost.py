@@ -17,9 +17,12 @@ candidate never receives a finite fitness.  VALIDATION_EXTENT is odd:
 at an extent that reaches it, the row blocks of a loop sum to an odd
 count, so at any thread count some block is not a multiple of a
 register block's four rows, and validation runs the emitter's clamped
-rows and tail loops.  Both runs are child processes with a timeout,
-so a candidate that crashes or hangs costs one +inf fitness with a
-diagnostic and never ends or stalls the search.
+rows and tail loops.  The timing run's untimed warm-up call allocates
+the kernel's workspaces (cemit), so its timed reps measure the kernel's
+own work, not the operating system zeroing fresh pages.  Both runs are
+child processes with a timeout, so a candidate that crashes or hangs
+costs one +inf fitness with a diagnostic and never ends or stalls the
+search.
 
 Fitness is asked for in lists (CachedFitness.ask).  The timer builds a
 list's candidates at once, one compiler per CPU (EmpiricalTimer.batch),

@@ -601,13 +601,15 @@ def _name_extents(graph: DataflowGraph, ext: _Extents,
 
 
 # names a C file cannot give a kernel's data or function: C99's keywords,
-# `main`, and what the emitted file takes from its headers
+# C11's `_Thread_local` (the kernel's workspaces), `main`, and what the
+# emitted file takes from its headers
 C_RESERVED = frozenset('''
     auto break case char const continue default do double else enum extern
     float for goto if inline int long register restrict return short signed
     sizeof static struct switch typedef union unsigned void volatile while
-    _Bool _Complex _Imaginary main malloc calloc free exit atol strtod fopen
-    fread fwrite fclose printf clock_gettime CLOCK_MONOTONIC FILE NULL size_t
+    _Bool _Complex _Imaginary _Thread_local main malloc calloc free exit
+    atol strtod fopen fread fwrite fclose printf clock_gettime
+    CLOCK_MONOTONIC FILE NULL size_t
 '''.split())
 
 # the macros C99 defines in the emitted file's headers, <stdio.h>,

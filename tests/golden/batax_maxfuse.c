@@ -6,8 +6,22 @@
 #include <time.h>
 
 void batax(const double *restrict x, double beta, const double *restrict A, double *restrict y, long M, long N) {
-    double *t1 = (double *)malloc(sizeof(double) * (size_t)N);
-    double *t1_part = (double *)malloc(sizeof(double) * (size_t)4 * (size_t)N);
+    static _Thread_local double *t1_ws;
+    static _Thread_local size_t t1_cap;
+    if (t1_cap < (size_t)N) {
+        free(t1_ws);
+        t1_ws = (double *)malloc(sizeof(double) * (size_t)N);
+        t1_cap = t1_ws ? (size_t)N : 0;
+    }
+    double *t1 = t1_ws;
+    static _Thread_local double *t1_part_ws;
+    static _Thread_local size_t t1_part_cap;
+    if (t1_part_cap < (size_t)4 * (size_t)N) {
+        free(t1_part_ws);
+        t1_part_ws = (double *)malloc(sizeof(double) * (size_t)4 * (size_t)N);
+        t1_part_cap = t1_part_ws ? (size_t)4 * (size_t)N : 0;
+    }
+    double *t1_part = t1_part_ws;
     #pragma omp parallel for num_threads(4) schedule(static)
     for (long p0 = 0; p0 < 4; ++p0) {
         long i_lo = (M * p0) / 4;
@@ -53,7 +67,6 @@ void batax(const double *restrict x, double beta, const double *restrict A, doub
         }
         t1[j] = acc;
     }
-    free(t1_part);
     #pragma omp parallel for num_threads(4) schedule(static)
     for (long p1 = 0; p1 < 4; ++p1) {
         long j_lo = (N * p1) / 4;
@@ -62,7 +75,6 @@ void batax(const double *restrict x, double beta, const double *restrict A, doub
             y[j] = t1[j] * beta;
         }
     }
-    free(t1);
 }
 
 #ifndef MATFUSE_NO_MAIN

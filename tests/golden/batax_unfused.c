@@ -6,8 +6,22 @@
 #include <time.h>
 
 void batax(const double *restrict x, double beta, const double *restrict A, double *restrict y, long M, long N) {
-    double *t0 = (double *)malloc(sizeof(double) * (size_t)M);
-    double *t1 = (double *)malloc(sizeof(double) * (size_t)N);
+    static _Thread_local double *t0_ws;
+    static _Thread_local size_t t0_cap;
+    if (t0_cap < (size_t)M) {
+        free(t0_ws);
+        t0_ws = (double *)malloc(sizeof(double) * (size_t)M);
+        t0_cap = t0_ws ? (size_t)M : 0;
+    }
+    double *t0 = t0_ws;
+    static _Thread_local double *t1_ws;
+    static _Thread_local size_t t1_cap;
+    if (t1_cap < (size_t)N) {
+        free(t1_ws);
+        t1_ws = (double *)malloc(sizeof(double) * (size_t)N);
+        t1_cap = t1_ws ? (size_t)N : 0;
+    }
+    double *t1 = t1_ws;
     for (long i = 0; i < M; i = i + 4) {
         long i1 = i + 1 < M ? i + 1 : M - 1;
         long i2 = i + 2 < M ? i + 2 : M - 1;
@@ -38,8 +52,6 @@ void batax(const double *restrict x, double beta, const double *restrict A, doub
     for (long j = 0; j < N; ++j) {
         y[j] = t1[j] * beta;
     }
-    free(t0);
-    free(t1);
 }
 
 #ifndef MATFUSE_NO_MAIN

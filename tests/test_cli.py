@@ -301,8 +301,11 @@ def test_validation_leaves_no_temp_dirs(tmp_path, capsys, monkeypatch,
      "out: y : vector(column) { y = x + x }", "'rand'"),
     ("MACRO in: EOF : vector(column) "
      "out: y : vector(column) { y = EOF + EOF }", "'EOF'"),
+    ("WORKSPACE in: _Thread_local : vector(column) out: y : vector(column) "
+     "{ y = _Thread_local + _Thread_local }", "'_Thread_local'"),
 ], ids=["axis", "extent", "keyword", "header", "main", "data",
-        "header-function", "header-function-rand", "header-macro"])
+        "header-function", "header-function-rand", "header-macro",
+        "workspace-keyword"])
 def test_names_c_cannot_declare_exit_2(text, name, tmp_path, capsys):
     src = tmp_path / "k.bto"
     src.write_text(text)

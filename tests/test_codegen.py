@@ -1,5 +1,7 @@
 import random
 import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -143,8 +145,10 @@ class TestContraction:
         ir = contract_arrays(lower(org, g))
         assert ir.contracted == frozenset({"t0"})
         source = emit_c(ir).source
-        assert "t0_s" in source and "malloc(sizeof(double) * (size_t)M);" \
-            not in source.split("#ifndef")[0]
+        kernel_part = source.split("#ifndef")[0]
+        # t0 lives in a local: the kernel keeps no heap buffer for it
+        assert "t0_s" in source and "malloc(" not in kernel_part \
+            and "_Thread_local" not in kernel_part
         check_against_reference(g, org, {"M": 100}, toolchain)
 
     def test_contraction_never_changes_results(self, batax, toolchain):
@@ -429,6 +433,12 @@ class TestBodyNames:
          "{_{p(i)}{_i{_j 1}{_j 2}}}{_{p(j)}{_j 3}}"),
         ("FUNCS in: time : vector(column), clock : vector(column) "
          "out: div : vector(column) { div = time + clock }", None),
+        # t0's workspace and t1's partial buffer's capacity would take
+        # these names
+        ("BATAX in: t0_ws : vector(column), beta : scalar, "
+         "A : matrix(row), t1_part_cap : scalar out: y : vector(column) "
+         "{ y = beta * A' * (A * t0_ws) + t1_part_cap * t0_ws }",
+         "{_{p(i)}{_i{_j 1}}}{_{p(i)}{_i{_j 2}}}{_{p(j)}{_j 3}}{_j 4}{_j 5}"),
     ])
     def test_clashing_names_compile_and_validate(self, text, organism,
                                                  toolchain):
@@ -440,5 +450,95 @@ class TestBodyNames:
                                 toolchain)
         if "t1_part" in g.data:  # t1's partial buffer steps past the input
             _, kernel = build(g, org, None)
-            assert "double *t1_part_ = (double *)malloc(" in kernel.source
+            assert "t1_part__ws = (double *)malloc(" in kernel.source
+            assert "double *t1_part_ = t1_part__ws;" in kernel.source
             check_against_reference(g, org, {"M": 37, "N": 23}, toolchain)
+        if "t0_ws" in g.data:  # so do the workspace's own names
+            _, kernel = build(g, org, None)
+            for decl in ("static _Thread_local double *t0_ws_;",
+                         "double *t0 = t0_ws_;",
+                         "static _Thread_local size_t t1_part_cap_;"):
+                assert decl in kernel.source
+            check_against_reference(g, org, {"M": 37, "N": 23}, toolchain)
+
+
+class TestWorkspace:
+    """An emitted kernel keeps each heap buffer between calls in a
+    grow-only workspace, one per calling thread."""
+
+    # GEMVER's initial forest keeps three matrix and three vector
+    # temporaries; the BATAX organism two vector temporaries and the
+    # partial buffer of a partitioned reduction
+    ORGANISMS = [
+        ("gemver", None),
+        ("batax", "{_{p(i)}{_i{_j 1}}}{_{p(i)}{_i{_j 2}}}{_{p(j)}{_j 3}}"),
+    ]
+
+    def load(self, name, notation, toolchain):
+        g = load_graph(name)
+        org = initial_forest(g) if notation is None \
+            else parse_notation(notation, g, threads=3)
+        _, kernel = build(g, org, None)
+        assert kernel.source.count("static _Thread_local double *") >= 2
+        return g, kernel, toolchain.compile(kernel.source, workdir(),
+                                            shared=True)
+
+    @staticmethod
+    def error(g, kernel, lib, sizes, seed):
+        """The relative error of one call at `sizes` on fresh inputs."""
+        extents = dict(zip(g.extent_names, sizes))
+        inputs = random_inputs(g, extents, seed=seed)
+        got = run_kernel(lib, kernel, g, inputs, extents)
+        return max_rel_error(got, reference_evaluate(g.spec, inputs))
+
+    @pytest.mark.parametrize("name, notation", ORGANISMS)
+    def test_growing_then_shrinking_extents(self, name, notation, toolchain):
+        g, kernel, lib = self.load(name, notation, toolchain)
+        for seed, sizes in enumerate([(3, 5), (17, 11), (40, 61), (61, 40),
+                                      (90, 90), (17, 11), (1, 1), (61, 40)]):
+            assert self.error(g, kernel, lib, sizes, seed) < 1e-10, sizes
+
+    @pytest.mark.parametrize("name, notation", ORGANISMS)
+    def test_two_threads_call_at_once(self, name, notation, toolchain):
+        """ctypes lets go of the GIL during a call, so the two threads'
+        calls overlap; each needs its own workspace."""
+        g, kernel, lib = self.load(name, notation, toolchain)
+        start = threading.Barrier(2)
+        errors = {}
+
+        def calls(sizes):
+            start.wait()
+            errors[sizes] = max(self.error(g, kernel, lib, sizes, seed)
+                                for seed in range(8))
+
+        threads = [threading.Thread(target=calls, args=(sizes,))
+                   for sizes in ((300, 170), (160, 290))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert len(errors) == 2, "a thread raised"
+        assert max(errors.values()) < 1e-10, errors
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts Linux's minor page faults")
+    def test_timed_reps_fault_in_no_pages(self, toolchain, tmp_path):
+        """Unfused GEMVER at 300x300 keeps about 2.1 MB of temporaries,
+        some 500 pages that a call would fault in again if it freed them;
+        21 timed reps fault in about as many pages as one."""
+        import resource
+
+        g = load_graph("gemver")
+        _, kernel = build(g, initial_forest(g), None)
+        binary = toolchain.compile(kernel.source, tmp_path, name="kmain")
+        ext = {n: 300 for n in g.extent_names}
+
+        def faults(reps):
+            before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+            time_binary(binary, ext, g.extent_names, reps=reps)
+            return resource.getrusage(
+                resource.RUSAGE_CHILDREN).ru_minflt - before
+
+        one, many = faults(1), faults(21)
+        assert abs(many - one) < 100, (one, many)

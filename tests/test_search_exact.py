@@ -43,14 +43,17 @@ SEARCH_LOG_DIGEST = \
 # and joint_partitions deferred to fusion_legal's rules
 LEGALITY_VERDICT_DIGEST = \
     "b20c9f67312d17e6b9ecc4d66edee126dacc61a46a822278782911cd71741eed"
-# sha256 of the C emitted for the organisms below, taken when the emitter
-# jammed loops whose rows share a reduction over their own axis (exact
-# passes plus a tail loop) and left out zeroings that a scalar-replacement
-# store overwrites; the previous digest d1766f5e..., taken when it gained
-# scalar replacement and unroll-and-jam, and 033b674b... before it hold the
-# same main, and OUTPUT_DIGEST shows the kernels compute the same bits
+# sha256 of the C emitted for the organisms below, taken when each heap
+# buffer of the kernel moved into a grow-only per-thread workspace kept
+# between calls (statements, loops, signature and main unchanged); the
+# previous digest 7c3fe132..., taken when the emitter jammed loops whose
+# rows share a reduction over their own axis (exact passes plus a tail
+# loop) and left out zeroings that a scalar-replacement store overwrites,
+# d1766f5e..., taken when it gained scalar replacement and unroll-and-jam,
+# and 033b674b... before it hold the same main, and OUTPUT_DIGEST shows
+# the kernels compute the same bits
 EMIT_DIGEST = \
-    "7c3fe13251d848a332678abb068539d4eb2e941cf8bb53db679194bc182462c6"
+    "383e250df680369dd23b4ddc3b2204227b491d87aa92cc45f6799f385a9f108c"
 # sha256 of the raw validation-mode output bytes of the kernels below,
 # taken before the emitter gained scalar replacement and unroll-and-jam:
 # neither may change the order of any element's additions
