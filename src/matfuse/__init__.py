@@ -17,7 +17,6 @@ from .search import SearchConfig, SearchResult, max_fuse, run_strategy
 from .cost import AnalyticCost, EmpiricalTimer, MachineModel, cached, estimate_cost
 from .lower import contract_arrays, lower
 from .cemit import emit_c
-from .interp import reference_evaluate
 
 __version__ = "0.1.0"
 
@@ -30,5 +29,5 @@ __all__ = [
     "SearchConfig", "SearchResult", "max_fuse", "run_strategy",
     "AnalyticCost", "EmpiricalTimer", "MachineModel", "cached",
     "estimate_cost",
-    "contract_arrays", "lower", "emit_c", "reference_evaluate",
+    "contract_arrays", "lower", "emit_c",
 ]

@@ -4,7 +4,7 @@ Subcommands:
 
     compile    lower one kernel (max-fuse or a given organism) to C
     search     run a search strategy, write best.c + log.jsonl + summary
-    enumerate  list every legal organism of a small kernel
+    enumerate  list the legal organisms search --strategy exhaustive walks
     corpus     type-check, max-fuse and validate the bundled kernels
 
 Each command takes only the options it reads; any other is a usage
@@ -29,8 +29,9 @@ from . import corpus as corpus_mod
 from .cost import AnalyticCost, EmpiricalTimer, MachineModel, cached
 from .cemit import emit_c
 from .fuse import (
-    Limits, NotationError, SpaceError, canonical_key, digit_space_size,
-    enumerate_space, format_notation, fusion_legal, parse_notation,
+    THREAD_MODES, Limits, NotationError, SpaceError, canonical_key,
+    digit_space_size, enumerate_space, format_notation, fusion_legal,
+    parse_notation,
 )
 from .graph import TypeCheckError, build_dataflow, infer_types
 from .lang import KernelSpecError, KernelSyntaxError, free_vars, parse_kernel
@@ -250,9 +251,8 @@ def cmd_enumerate(args) -> int:
     graph = _load_graph(args.kernel)
     limits = Limits(
         max_ops=args.max_ops,
-        max_threads=args.max_threads,
+        max_threads=args.cores,
         thread_mode=args.threads_mode,
-        core_count=args.cores,
         partitions=not args.fusion_only,
         require_shared_operand=not args.no_prune,
     )
@@ -267,7 +267,7 @@ def cmd_enumerate(args) -> int:
         max_depth = max(
             (len(op.nest.labels()) for op in graph.ops), default=0
         ) + 1  # one partition level on top of the deepest loop nest
-        size = digit_space_size(n, max_depth, args.max_threads)
+        size = digit_space_size(n, max_depth, args.cores)
         print(f"digit-space {size}")
         print(f"ratio {count / size:.6%}")
     return 0
@@ -324,7 +324,9 @@ def cmd_corpus(args) -> int:
 # options that several commands take, by flag
 OPTIONS = {
     "--cores": dict(type=_at_least(1), default=8,
-                    help="core count for partitioning and thread sweeps"),
+                    help="the largest thread count: max-fuse's and "
+                         "--organism's partitions get it, and the thread "
+                         "sweep and enumerate stop there"),
     "--extents": dict(type=_extent_list, default="1000,1000",
                       help="problem extents, comma separated (M,N)"),
     "--cc": dict(default=None, help="C compiler (env MATFUSE_CC)"),
@@ -335,8 +337,7 @@ OPTIONS = {
     "--no-prune": dict(
         action="store_true",
         help="disable the shared-operand fusion pruning heuristic"),
-    "--threads-mode": dict(choices=("const", "global", "exhaustive"),
-                           default="global"),
+    "--threads-mode": dict(choices=THREAD_MODES, default="global"),
 }
 BUILD = ("--extents", "--cc", "--cc-template", "--no-validate")
 
@@ -384,7 +385,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("enumerate", help="list every legal organism")
     p.add_argument("kernel")
     p.add_argument("--max-ops", type=_at_least(1), default=4)
-    p.add_argument("--max-threads", type=_at_least(1), default=8)
     _add(p, "--threads-mode")
     p.add_argument("--fusion-only", action="store_true",
                    help="enumerate loop fusion only, no partitions")

@@ -723,14 +723,25 @@ def contracted_temporaries(org: Organism, graph: DataflowGraph) -> set[str]:
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration
 
+THREAD_MODES = ("const", "global", "exhaustive")
+
+
 @dataclass(frozen=True)
 class Limits:
+    """The bounds of an exhaustive enumeration.  Thread counts run from 1
+    to max_threads: one count shared by every partition ("global"), each
+    partition's count chosen independently ("exhaustive"), or max_threads
+    alone ("const")."""
+
     max_ops: int = 4
     max_threads: int = 8
-    thread_mode: str = "global"  # "global" | "exhaustive" | "const"
-    core_count: int = 8  # thread count used by "const" mode
+    thread_mode: str = "global"  # one of THREAD_MODES
     partitions: bool = True
     require_shared_operand: bool = True
+
+    def __post_init__(self):
+        if self.thread_mode not in THREAD_MODES:
+            raise ValueError(f"unknown thread mode {self.thread_mode!r}")
 
 
 def _set_partitions(items: list[int]):
@@ -789,11 +800,14 @@ def _root_shapes(ops: list[int], graph: DataflowGraph, limits: Limits):
 
 
 def enumerate_space(graph: DataflowGraph, limits: Limits | None = None):
-    """Yield every legal organism, duplicate-free, within limits.
+    """Yield every legal organism within limits, in a fixed order.
 
-    Thread handling follows limits.thread_mode: "global" assigns one
-    shared count (1..max_threads) to all partitions, "exhaustive" sweeps
-    per-partition counts independently, "const" pins core_count.
+    The organisms are duplicate-free by construction: a set partition of
+    the ops fixes the roots' op sets, each root shape is built once for
+    its set, and thread_assignments yields each tuple of counts once, so
+    two organisms differ in a root's op set, a subtree or a count, and
+    canonicalize (which only reorders siblings and roots) keeps them
+    apart.
     """
     limits = limits or Limits()
     n = len(graph.ops)
@@ -802,38 +816,29 @@ def enumerate_space(graph: DataflowGraph, limits: Limits | None = None):
             f"kernel has {n} operations; exhaustive enumeration is limited "
             f"to {limits.max_ops} (raise max_ops to override)"
         )
-    seen: set[str] = set()
+    counts = (limits.max_threads,) if limits.thread_mode == "const" \
+        else range(1, limits.max_threads + 1)
+    per_partition = limits.thread_mode == "exhaustive"
     for grouping in _set_partitions(graph.op_ids()):
         shape_options = [list(_root_shapes(g, graph, limits)) for g in grouping]
         if any(not opts for opts in shape_options):
             continue
         for combo in itertools.product(*shape_options):
             shape = Organism(combo)
-            for threads in _thread_tuples(len(shape.threads), limits):
+            for threads in thread_assignments(len(shape.threads), counts,
+                                              per_partition):
                 org = canonicalize(with_threads(shape, threads), graph)
-                key = canonical_key(org)
-                if key in seen:
-                    continue
                 if fusion_legal(org, graph, limits.require_shared_operand) is None:
-                    seen.add(key)
                     yield org
 
 
-def _thread_tuples(n_partitions: int, limits: Limits):
-    if n_partitions == 0:
-        yield ()
-        return
-    if limits.thread_mode == "const":
-        yield (limits.core_count,) * n_partitions
-    elif limits.thread_mode == "global":
-        for t in range(1, limits.max_threads + 1):
-            yield (t,) * n_partitions
-    elif limits.thread_mode == "exhaustive":
-        yield from itertools.product(
-            range(1, limits.max_threads + 1), repeat=n_partitions
-        )
-    else:
-        raise ValueError(f"unknown thread mode {limits.thread_mode!r}")
+def thread_assignments(n: int, counts, per_partition: bool):
+    """The thread tuples of n partitions over `counts`, in order: every
+    combination when per_partition, else one shared count each.  A forest
+    without partitions has the one tuple ()."""
+    if per_partition or not n:
+        return itertools.product(counts, repeat=n)
+    return ((t,) * n for t in counts)
 
 
 def digit_space_size(n: int, max_depth: int, max_threads: int) -> int:

@@ -55,9 +55,10 @@ from dataclasses import asdict, dataclass
 
 from .cost import CachedFitness, CostReport, cached
 from .fuse import (
-    IterNode, Limits, LoopNode, OpLeaf, Organism, PartitionNode,
-    canonical_key, canonicalize, enumerate_space, full_nest, fusion_legal,
-    initial_forest, partition_axes, with_children, with_threads,
+    THREAD_MODES, IterNode, Limits, LoopNode, OpLeaf, Organism,
+    PartitionNode, canonical_key, canonicalize, enumerate_space, full_nest,
+    fusion_legal, initial_forest, partition_axes, thread_assignments,
+    with_children, with_threads,
 )
 from .graph import DataflowGraph, bits
 
@@ -73,8 +74,8 @@ class SearchConfig:
     generations: int = 50
     budget: int | None = None  # max unique (cache-miss) evaluations
     seed: int = 0
-    thread_mode: str = "global"  # "const" | "global" | "exhaustive"
-    core_count: int = 8
+    thread_mode: str = "global"  # one of fuse.THREAD_MODES
+    core_count: int = 8  # the largest thread count
     max_ops_exhaustive: int = 4
     require_shared_operand: bool = True  # profitability pruning of fusions
 
@@ -85,7 +86,7 @@ class SearchConfig:
             raise ValueError("tournament size must be at least 1")
         if self.core_count < 1:
             raise ValueError("core count must be at least 1")
-        if self.thread_mode not in ("const", "global", "exhaustive"):
+        if self.thread_mode not in THREAD_MODES:
             raise ValueError(f"unknown thread mode {self.thread_mode!r}")
 
 
@@ -573,24 +574,16 @@ def thread_sweep(org: Organism, evaluate, core_count: int,
     """Try global thread counts {2, 4, ..., core_count} on the organism,
     return (best, candidates tried).  per_partition=True tries every
     combination of per-partition counts instead, the first `budget` of
-    them.  `evaluate` is a CachedFitness or a run's evaluator, asked once
-    for the organism and every candidate, in that order; an evaluator
-    that raises when its run's budget is spent ends the sweep there."""
-    if not org.threads:
+    them, and always at least one (budget 0 tries the first).
+    `evaluate` is a CachedFitness or a run's evaluator, asked once for
+    the organism and every candidate, in that order; an evaluator that
+    raises when its run's budget is spent ends the sweep there."""
+    counts = range(2, core_count + 1, 2)
+    if not org.threads or not counts:
         return org, 0
-    counts = list(range(2, core_count + 1, 2))
-    if not counts:
-        return org, 0
-    candidates: list[Organism]
-    if per_partition:
-        candidates = []
-        for combo in itertools.product(counts, repeat=len(org.threads)):
-            candidates.append(with_threads(org, combo))
-            if budget is not None and len(candidates) >= budget:
-                break
-    else:
-        candidates = [with_threads(org, (t,) * len(org.threads))
-                      for t in counts]
+    cap = max(budget, 1) if per_partition and budget is not None else None
+    candidates = [with_threads(org, combo) for combo in itertools.islice(
+        thread_assignments(len(org.threads), counts, per_partition), cap)]
     reports = evaluate.ask([org, *candidates])
     best = org
     best_score = reports[0].total, canonical_key(org)
@@ -769,7 +762,6 @@ def run_strategy(strategy: str, graph: DataflowGraph, cfg: SearchConfig,
                 max_threads=cfg.core_count,
                 thread_mode=cfg.thread_mode if strategy == "exhaustive"
                 else "const",
-                core_count=cfg.core_count,
                 require_shared_operand=cfg.require_shared_operand,
             )
             space = enumerate_space(graph, limits)

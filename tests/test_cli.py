@@ -1,14 +1,21 @@
 import argparse
 import json
 import math
+import os
 import pathlib
+import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
 
+import matfuse
 from matfuse import cli
 from matfuse.cli import main
 from matfuse.corpus import kernel_path
+from matfuse.cost import AnalyticCost, MachineModel, cached
+from matfuse.search import SearchConfig, run_strategy
 
 
 BATAX = str(kernel_path("batax"))
@@ -200,11 +207,24 @@ class TestEnumerate:
     def test_counts_and_digit_space(self, capsys):
         code, stdout, _ = run(
             capsys, "enumerate", BATAX, "--count-only", "--digit-space",
-            "--max-threads", "8",
+            "--cores", "8",
         )
         assert code == 0
         assert "total 202" in stdout
         assert "digit-space 1259712" in stdout
+
+    def test_lists_what_the_exhaustive_search_walks(self, capsys, batax):
+        """enumerate prints, in order, the organisms the exhaustive search
+        evaluates for the same --cores and --threads-mode."""
+        code, stdout, _ = run(capsys, "enumerate", BATAX, "--cores", "3",
+                              "--threads-mode", "exhaustive")
+        assert code == 0
+        cfg = SearchConfig(core_count=3, thread_mode="exhaustive")
+        fitness = cached(AnalyticCost(batax, MachineModel(core_count=3)))
+        res = run_strategy("exhaustive", batax, cfg, fitness)
+        *keys, total = stdout.splitlines()
+        assert keys == [e.key for e in res.log]
+        assert total == f"total {len(keys)}"
 
     def test_fusion_only_lists_structures(self, capsys):
         code, stdout, _ = run(capsys, "enumerate", BATAX, "--fusion-only")
@@ -342,9 +362,12 @@ def test_bad_numeric_flag_exits_1(command, flag, value, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_each_command_takes_only_the_options_it_reads():
-    sub = next(a for a in cli.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
     build = {"--extents", "--cc", "--cc-template", "--no-validate"}
     want = {
         "compile": {"--organism", "--output", "--cores", "--no-prune"}
@@ -353,16 +376,47 @@ def test_each_command_takes_only_the_options_it_reads():
                    "--generations", "--population", "--tournament",
                    "--threads-mode", "--max-ops", "--reps", "--out-dir",
                    "--cores", "--no-prune"} | build,
-        "enumerate": {"--max-ops", "--max-threads", "--threads-mode",
+        "enumerate": {"--max-ops", "--threads-mode",
                       "--fusion-only", "--count-only", "--digit-space",
                       "--cores", "--no-prune"},
         "corpus": {"--kernel", "--corpus-dir", "--cores"} | build,
     }
     got = {name: {a.option_strings[-1] for a in p._actions
                   if a.option_strings and a.dest != "help"}
-           for name, p in sub.choices.items()}
+           for name, p in subcommands().items()}
     assert got == want
-    assert sum(map(len, got.values())) == 40
+    assert sum(map(len, got.values())) == 39
+
+
+def test_import_matfuse_leaves_numpy_unloaded():
+    """Only validation and the reference interpreter need numpy."""
+    src = pathlib.Path(matfuse.__file__).parents[1]
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, matfuse; sys.exit('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert probe.returncode == 0
+
+
+def test_readme_cli_block_names_every_option():
+    """The usage block under "## CLI" in README.md names each command's
+    options, each in its short or long form, and no other."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    named: dict[str, set[str]] = {}
+    for line in block.strip().splitlines():
+        words = line.split()
+        if words[0] == "matfuse":
+            command = words[1]
+        named.setdefault(command, set()).update(
+            re.findall(r"\[(--?[\w-]+)", line))
+    commands = subcommands()
+    assert set(named) == set(commands)
+    for name, p in commands.items():
+        options = [set(a.option_strings) for a in p._actions
+                   if a.option_strings and a.dest != "help"]
+        assert [o for o in options if not o & named[name]] == [], name
+        assert named[name] <= set().union(*options), name
 
 
 @pytest.mark.parametrize("command, flags", [

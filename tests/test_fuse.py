@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matfuse.corpus import SMALL_KERNELS
 from matfuse.fuse import (
-    Limits, NotationError, Organism, PartitionNode, SpaceError,
+    THREAD_MODES, Limits, NotationError, Organism, PartitionNode, SpaceError,
     canonical_key, canonicalize, contracted_temporaries,
     dependence_diagnostic, digit_space_size, enumerate_partitionings,
     enumerate_space, format_notation, full_nest, fusion_legal,
@@ -325,10 +326,18 @@ class TestEnumerate:
         for org in enumerate_space(batax, Limits(max_threads=3)):
             assert fusion_legal(org, batax) is None
 
-    def test_duplicate_free(self, batax):
-        keys = [canonical_key(o) for o in enumerate_space(
-            batax, Limits(max_threads=3))]
-        assert len(keys) == len(set(keys))
+    def test_duplicate_free(self, all_graphs):
+        """No organism is yielded twice, in any mode: enumerate_space
+        keeps no set of the keys it has yielded."""
+        for name, mode, prune, partitions in itertools.product(
+                [*SMALL_KERNELS, "batax"], THREAD_MODES, (True, False),
+                (True, False)):
+            keys = [canonical_key(o) for o in enumerate_space(
+                all_graphs[name], Limits(
+                    max_threads=3, thread_mode=mode, partitions=partitions,
+                    require_shared_operand=prune))]
+            assert len(keys) == len(set(keys)), (name, mode, prune,
+                                                 partitions)
 
     def test_one_op_kernel_fusion_only_single_point(self):
         g = infer_types(build_dataflow(parse_kernel(
@@ -349,7 +358,7 @@ class TestEnumerate:
 
     def test_thread_modes(self, batax):
         const = list(enumerate_space(batax, Limits(
-            thread_mode="const", core_count=6)))
+            thread_mode="const", max_threads=6)))
         for org in const:
             assert all(t == 6 for t in org.threads)
         exhaustive = sum(1 for _ in enumerate_space(batax, Limits(
@@ -357,6 +366,12 @@ class TestEnumerate:
         glob = sum(1 for _ in enumerate_space(batax, Limits(
             max_threads=2, thread_mode="global")))
         assert exhaustive > glob
+
+    def test_unknown_thread_mode_rejected_when_built(self):
+        """Not mid-enumeration, and not only when some organism has a
+        partition."""
+        with pytest.raises(ValueError, match="unknown thread mode 'bogus'"):
+            Limits(thread_mode="bogus")
 
 
 class TestDigitSpace:

@@ -327,9 +327,19 @@ class TestThreadSweep:
     def test_per_partition_sweep_bounded_by_budget(self, batax):
         fit = analytic(batax, cores=8)
         org = max_fuse(batax, 8)
-        _, tried = thread_sweep(org, fit, core_count=8, per_partition=True,
-                                budget=5)
-        assert tried == 5
+        for budget, want in [(5, 5), (1, 1), (0, 1)]:  # budget 0 tries one
+            _, tried = thread_sweep(org, fit, core_count=8,
+                                    per_partition=True, budget=budget)
+            assert tried == want
+
+    def test_per_partition_sweep_at_budget_zero(self, batax):
+        """The run's one evaluation is max-fuse; the sweep asks it again
+        (a cache hit), then stops at its one candidate, beyond the
+        budget."""
+        cfg = SearchConfig(population=4, generations=2, budget=0,
+                           thread_mode="exhaustive")
+        res = run_strategy("mfga", batax, cfg, analytic(batax, cores=8))
+        assert (res.evaluations, res.cache_hits, res.sweeps) == (1, 1, 0)
 
     @pytest.mark.parametrize("budget,tried", [(6, 1), (7, 2), (8, 4)])
     def test_budget_ending_mid_sweep_counts_what_it_asked(self, batax,
