@@ -36,7 +36,7 @@ from __future__ import annotations
 import logging
 import math
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .fuse import Organism, PartitionNode, canonical_key, contracted_temporaries
@@ -54,6 +54,9 @@ VALIDATION_EXTENT = 61  # odd: some row block is ragged at any thread count
 class MachineModel:
     core_count: int = 8
     extents: tuple[tuple[str, int], ...] = (("M", 1000), ("N", 1000))
+    # element count by extent symbols, filled by elements()
+    _elements: dict[tuple[str, ...], float] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.core_count < 1:
@@ -64,6 +67,17 @@ class MachineModel:
             if key == name:
                 return val
         raise KeyError(f"extent {name!r} not bound")
+
+    def elements(self, dims: tuple[str, ...]) -> float:
+        """The element count of data with these extent symbols, computed
+        once per machine."""
+        size = self._elements.get(dims)
+        if size is None:
+            size = 1.0
+            for d in dims:
+                size *= self.extent(d)
+            self._elements[dims] = size
+        return size
 
 
 @dataclass(frozen=True)
@@ -82,26 +96,20 @@ class CostReport:
 
 def estimate_cost(org: Organism, graph: DataflowGraph,
                   machine: MachineModel) -> CostReport:
-    """Deterministic streamed-bytes estimate for one organism."""
+    """Deterministic streamed-bytes estimate for one organism.  Each op's
+    distinct data names come from graph.op_data and each data node's
+    element count from machine.elements, both computed once."""
     contracted = contracted_temporaries(org, graph)
-
-    def elements(name: str) -> float:
-        node = graph.data[name]
-        size = 1.0
-        for d in node.dims:
-            size *= machine.extent(d)
-        return size
-
+    data = graph.data
     per_root = []
     n_partitions = 0
     for root in org.forest:
         touched: list[str] = []
         for op_id in bits(root.mask):
-            op = graph.op(op_id)
-            for name in [r.name for r in op.operands] + [op.result]:
+            for name in graph.op_data(op_id):
                 if name not in touched and name not in contracted:
                     touched.append(name)
-        streamed = sum(elements(name) for name in touched)
+        streamed = sum([machine.elements(data[name].dims) for name in touched])
         eff = 1.0
         overhead = 0.0
         if isinstance(root, PartitionNode):

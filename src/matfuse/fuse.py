@@ -49,14 +49,23 @@ bitmask (bit i is op i), computed once when the node is built and left
 out of equality; it is the only form of a node's op set, and
 graph.bits lists its op ids where ids are needed.  With the graph's
 per-op reachability and operand-sharing bitmasks, convexity of a set S is
-``down(S) & up(S) & ~S == 0``, sibling order is one AND per pair, and
-the shared-operand rule is a flood fill over bits; the op-by-op walk
-runs only to word the diagnostic of a set that fails.  Apart from
-coverage, every rule above is local to one root:
-its fused sets, siblings and reduction levels all lie inside it, and
-canonicalize only reorders roots.  So a forest whose roots each pass
-alone is legal exactly when its roots admit a topological order, which
-is what lets crossover check only the root it changed.
+``down(S) & up(S) & ~S == 0``; siblings hold disjoint op sets, so
+sibling order is one AND per sibling against the union of the others
+that remain (ordering) or that precede it (checking); and the
+shared-operand rule is a flood fill over bits.  The op-by-op walk runs
+only to word the diagnostic of a set that fails.  Apart from coverage,
+every rule above is local to one root: its fused sets, siblings and
+reduction levels all lie inside it, and canonicalize only reorders
+roots.  So a forest whose roots each pass alone is legal exactly when
+its roots admit a topological order, which is what lets crossover check
+only the root it changed.
+
+Every loop and partition node also renders its brace text once
+(``text``, computed on first use from its children's and left out of
+equality), so format_notation and an organism's key join the roots'
+texts.  canonicalize orders a whole forest; it is for outside input
+(parse_notation, crossover's assembled child, a root checked alone, the
+enumeration), since search._edit orders only the nodes an edit rebuilt.
 """
 
 from __future__ import annotations
@@ -65,6 +74,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from .graph import DataflowGraph, OpNode, bits
 
@@ -93,12 +103,22 @@ class OpLeaf:
     def __post_init__(self):
         object.__setattr__(self, "mask", 1 << self.op_id)
 
+    @cached_property
+    def text(self) -> str:
+        """The leaf's brace text below a loop (format_notation writes a
+        bare leaf root without the space)."""
+        return f" {self.op_id}"
+
 
 def _children_mask(node) -> None:
     mask = 0
     for child in node.children:
         mask |= child.mask
     object.__setattr__(node, "mask", mask)
+
+
+def _body(node) -> str:
+    return "".join([child.text for child in node.children]) + "}"
 
 
 @dataclass(frozen=True)
@@ -109,6 +129,11 @@ class LoopNode:
 
     __post_init__ = _children_mask
 
+    @cached_property
+    def text(self) -> str:
+        """The node's brace text, rendered once from its children's."""
+        return "{_" + self.axis + _body(self)
+
 
 @dataclass(frozen=True)
 class PartitionNode:
@@ -118,6 +143,11 @@ class PartitionNode:
     mask: int = field(init=False, repr=False, compare=False)  # ops beneath
 
     __post_init__ = _children_mask
+
+    @cached_property
+    def text(self) -> str:
+        """The node's brace text (its count rides in the key's suffix)."""
+        return "{_{p(" + self.axis + ")}" + _body(self)
 
 
 IterNode = OpLeaf | LoopNode | PartitionNode
@@ -202,59 +232,64 @@ def with_threads(org: Organism, counts) -> Organism:
 # Canonical form
 
 def _order_children(children: list[IterNode], graph: DataflowGraph) -> list[IterNode]:
-    """Topological order of sibling subtrees, ties broken by smallest op id."""
+    """Topological order of sibling subtrees, ties broken by smallest op id.
+
+    Siblings hold disjoint op sets, so a sibling is ready when no op
+    upstream of it lies in the union of the remaining siblings outside
+    it: one AND against that union instead of one per other sibling."""
     if len(children) < 2:
         return list(children)
-    remaining = list(children)
+    union = 0
+    for c in children:
+        union |= c.mask
+    # (lowest op, sibling, the ops upstream of it outside it)
+    remaining = [(c.mask & -c.mask, c, graph.up_of(c.mask) & ~c.mask)
+                 for c in children]
     out: list[IterNode] = []
     while remaining:
-        ready = []
-        for c in remaining:
-            up = graph.up_of(c.mask)
-            if not any(up & o.mask for o in remaining if o is not c):
-                ready.append(c)
+        ready = [e for e in remaining if not e[2] & union]
         if not ready:  # dependence cycle between siblings: leave order as-is
-            out.extend(remaining)
+            out.extend(e[1] for e in remaining)
             break
-        pick = min(ready, key=lambda c: c.mask & -c.mask)  # lowest op id
-        out.append(pick)
+        pick = min(ready, key=itemgetter(0))
+        out.append(pick[1])
         remaining.remove(pick)
+        union &= ~pick[1].mask
     return out
 
 
+def reordered(node: LoopNode | PartitionNode, children: list[IterNode],
+              graph: DataflowGraph) -> LoopNode | PartitionNode:
+    """The node over `children` in canonical order: the node itself when
+    that order is its own children, each the same object, so a subtree
+    that needs no change keeps its cached text."""
+    kids = _order_children(children, graph)
+    if all(a is b for a, b in zip(kids, node.children)):
+        return node
+    return with_children(node, tuple(kids))
+
+
 def canonicalize(org: Organism, graph: DataflowGraph) -> Organism:
-    """Sort siblings and roots canonically; counts move with their nodes."""
+    """Sort siblings and roots canonically; counts move with their nodes.
+    This orders the whole forest, for outside input; an edit of a
+    canonical organism orders only what it rebuilt (search._edit)."""
     def walk(node: IterNode) -> IterNode:
         if isinstance(node, OpLeaf):
             return node
-        return with_children(node, tuple(
-            walk(c) for c in _order_children(list(node.children), graph)))
+        return reordered(node, [walk(c) for c in node.children], graph)
 
     return Organism(tuple(
-        walk(r) for r in _order_children(list(org.forest), graph)))
+        _order_children([walk(r) for r in org.forest], graph)))
 
 
 # ---------------------------------------------------------------------------
 # Notation
 
-def _fmt_node(node: IterNode) -> str:
-    if isinstance(node, OpLeaf):
-        return f" {node.op_id}"
-    body = "".join(_fmt_node(c) for c in node.children)
-    if isinstance(node, PartitionNode):
-        return "{_{p(" + node.axis + ")}" + body + "}"
-    return "{_" + node.axis + body + "}"
-
-
 def format_notation(org: Organism) -> str:
-    """Canonical brace text for the forest (thread counts ride separately)."""
-    parts = []
-    for root in org.forest:
-        if isinstance(root, OpLeaf):
-            parts.append(str(root.op_id))
-        else:
-            parts.append(_fmt_node(root))
-    return "".join(parts)
+    """Canonical brace text for the forest (thread counts ride separately):
+    the roots' cached texts, a bare leaf root written without its space."""
+    return "".join([str(root.op_id) if isinstance(root, OpLeaf) else root.text
+                    for root in org.forest])
 
 
 def canonical_key(org: Organism) -> str:
@@ -264,6 +299,8 @@ def canonical_key(org: Organism) -> str:
 
 # a root written schematically: unsubscripted braces around one op id
 _SCHEMATIC = re.compile(r"(?:\{\s*)+(\d+)(?:\s*\})+")
+# the thread counts canonical_key appends
+_COUNTS = re.compile(r";\s*t=(\s*\d+\s*(?:,\s*\d+\s*)*)")
 
 
 class _NotationParser:
@@ -299,9 +336,10 @@ class _NotationParser:
             self.pos += 1
 
     def forest(self) -> tuple[IterNode, ...]:
+        """The roots, up to the end of the text or a key's ';'."""
         roots = []
         self.skip_ws()
-        while self.pos < len(self.text):
+        while self.pos < len(self.text) and self.text[self.pos] != ";":
             self.groups.append(0)
             m = _SCHEMATIC.match(self.text, self.pos)
             if m and m[0].count("{") == m[0].count("}"):
@@ -312,6 +350,15 @@ class _NotationParser:
                 roots.append(self.item(0))
             self.skip_ws()
         return tuple(roots)
+
+    def counts(self) -> tuple[int, ...] | None:
+        """The thread counts of a key's ';t=4,4' suffix, None without one."""
+        if self.pos == len(self.text):
+            return None
+        m = _COUNTS.fullmatch(self.text, self.pos)
+        if m is None:
+            self.error("expected ';t=' and comma-separated thread counts")
+        return tuple(int(c) for c in m[1].split(","))
 
     def item(self, depth: int) -> IterNode:
         """A brace or an op id, `depth` loops deep."""
@@ -388,19 +435,23 @@ def parse_notation(
     graph: DataflowGraph,
     threads: int | tuple[int, ...] | None = None,
 ) -> Organism:
-    """Parse brace notation into a canonical Organism.
+    """Parse brace notation, or a key canonical_key wrote, into a canonical
+    Organism.
 
     Unsubscripted braces (``{{1} {2}} {{3}}``) get their axes from the
     operations beneath them; a root of unsubscripted braces around one
     operation is that operation's whole nest.  ``threads`` supplies
     per-partition counts in text order (a single int applies globally;
-    default 1).  A forest of the wrong shape raises NotationError
-    carrying shape_diagnostic's verdict, or the dependence verdict of a
-    top-level group that breaks convexity.
+    default 1).  A key's ``;t=4,2`` suffix gives the counts in the same
+    order and takes precedence over ``threads``.  A forest of the wrong
+    shape raises NotationError carrying shape_diagnostic's verdict, or
+    the dependence verdict of a top-level group that breaks convexity;
+    so does a count list whose length is not the number of partitions.
     """
     parser = _NotationParser(text, graph)
     org = Organism(parser.forest())
     n = parser.partitions
+    threads = parser.counts() or threads
     if threads is None:
         threads = (1,) * n
     elif isinstance(threads, int):
@@ -586,16 +637,20 @@ def fusion_legal(
                     (op_id,), root.axis,
                 )
 
-    # -- fused-set rules ----------------------------------------------------
+    # -- fused sets and sibling order, read in one preorder walk -----------
     groups: list[IterNode] = []
     by_axis: dict[str, list[int]] = {}  # op masks of the loops/partitions
+    order = _order_diagnostic(org.forest, graph)  # first misordered list
 
     def collect(node: IterNode):
+        nonlocal order
         if isinstance(node, OpLeaf):
             return
         by_axis.setdefault(node.axis, []).append(node.mask)
         if node.mask.bit_count() > 1:
             groups.append(node)
+        if order is None:
+            order = _order_diagnostic(node.children, graph)
         for child in node.children:
             collect(child)
 
@@ -614,31 +669,14 @@ def fusion_legal(
             )
 
     # -- sibling and root order is topological -----------------------------
-    def check_order(children: tuple[IterNode, ...]) -> Diagnostic | None:
-        for later in range(1, len(children)):
-            down = graph.down_of(children[later].mask)
-            for earlier in range(later):
-                if down & children[earlier].mask:
-                    return Diagnostic(
-                        "order",
-                        f"subtree with ops {list(bits(children[later].mask))} "
-                        f"must run before ops "
-                        f"{list(bits(children[earlier].mask))}",
-                    )
-        for child in children:
-            if not isinstance(child, OpLeaf):
-                d = check_order(child.children)
-                if d:
-                    return d
-        return None
-
-    d = check_order(org.forest)
-    if d:
-        return d
+    if order:
+        return order
 
     # -- reduction barrier ---------------------------------------------------
+    # an axis lists its pairs in (producer, consumer) order
     broken = [(pair & -pair, pair, axis) for axis, masks in by_axis.items()
-              for m in masks if (pair := _reduction_pair(m, axis, graph))]
+              for pair in graph.reduction_pairs(axis)
+              if any(m & pair == pair for m in masks)]
     if broken:  # the first pair in (producer, consumer) order
         _, pair, red = min(broken)
         producer, consumer = bits(pair)
@@ -648,6 +686,26 @@ def fusion_legal(
             f"op {consumer} reads {result}, the destination of op "
             f"{producer}'s accumulation over {red}, inside that {red} level",
             (producer, consumer), red,
+        )
+    return None
+
+
+def _order_diagnostic(children: tuple[IterNode, ...],
+                      graph: DataflowGraph) -> Diagnostic | None:
+    """The first sibling of the list that must run before an earlier one,
+    or None: one AND against the union of the earlier siblings, and a
+    search for that sibling only to word the diagnostic."""
+    before = 0  # the ops of the siblings before `later`
+    for later in range(1, len(children)):
+        before |= children[later - 1].mask
+        down = graph.down_of(children[later].mask)
+        if not down & before:
+            continue
+        earlier = next(c for c in children[:later] if down & c.mask)
+        return Diagnostic(
+            "order",
+            f"subtree with ops {list(bits(children[later].mask))} "
+            f"must run before ops {list(bits(earlier.mask))}",
         )
     return None
 
@@ -740,6 +798,8 @@ class Limits:
     require_shared_operand: bool = True
 
     def __post_init__(self):
+        if self.max_threads < 1:
+            raise ValueError("max threads must be at least 1")
         if self.thread_mode not in THREAD_MODES:
             raise ValueError(f"unknown thread mode {self.thread_mode!r}")
 

@@ -185,6 +185,9 @@ class DataflowGraph:
                                               repr=False, compare=False)
     _consumers: dict[str, list[OpNode]] = field(default_factory=dict,
                                                 repr=False, compare=False)
+    # per-op distinct data names, built on first use (see op_data)
+    _op_data: list[tuple[str, ...]] = field(default_factory=list,
+                                            repr=False, compare=False)
     # per-axis bitmasks, built on first use: the ops iterating the axis,
     # and the reduction pairs of the axis
     _axes: tuple[dict[str, int], dict[str, tuple[int, ...]]] | None = field(
@@ -208,6 +211,16 @@ class DataflowGraph:
                 op for op in self.ops if any(r.name == name for r in op.operands)
             ]
         return self._consumers[name]
+
+    def op_data(self, op_id: int) -> tuple[str, ...]:
+        """The op's distinct data names: its operands in order, then its
+        result."""
+        if not self._op_data:
+            self._op_data = [()] + [
+                tuple(dict.fromkeys([*(r.name for r in op.operands),
+                                     op.result]))
+                for op in self.ops]
+        return self._op_data[op_id]
 
     def edges(self) -> set[tuple[int | str, int]]:
         """Producer -> consumer edges; sources are op ids or input names."""

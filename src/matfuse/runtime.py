@@ -27,6 +27,9 @@ cannot kill or stall its caller; a hung child is killed with its whole
 group, and so is every running child on an interrupt.  `run_kernel`
 still calls a shared object (main compiled out) in-process through
 ctypes, for tests and the benchmark's own checks.
+
+numpy and the reference interpreter are imported by the functions that
+read or write arrays, so building and timing load neither.
 """
 
 from __future__ import annotations
@@ -46,9 +49,6 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from . import interp
 from .cemit import GeneratedKernel
 from .graph import DataflowGraph
 
@@ -239,6 +239,8 @@ def _numpy_order(node) -> str:
 
 
 def _flatten(name: str, value, extents: dict[str, int], node) -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(value, dtype=np.float64)
     want = tuple(extents[d] for d in node.dims)
     if arr.shape != want:
@@ -277,6 +279,8 @@ def run_kernel(
 
     Output buffers start as NaN so an uninitialized read is loud.
     """
+    import numpy as np
+
     lib = ctypes.CDLL(str(binary))
     fn = getattr(lib, kernel.kernel_name)
     fn.restype = None
@@ -306,6 +310,8 @@ def run_kernel(
 
 def random_inputs(graph: DataflowGraph, extents: dict[str, int],
                   seed: int = 0) -> dict:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     inputs = {}
     for name, decl in graph.spec.inputs:
@@ -322,6 +328,8 @@ def max_rel_error(got: dict, want: dict) -> float:
     """Largest |got - want| / max(|want|, 1) over every output element;
     inf when any element is NaN or infinite (an output never written
     stays NaN), since max() would skip a NaN."""
+    import numpy as np
+
     worst = 0.0
     for name, expected in want.items():
         g = np.asarray(got[name], dtype=np.float64)
@@ -341,6 +349,10 @@ def validation_error(binary: Path, graph: DataflowGraph,
     The binary fills the outputs with NaN before the call, so an output
     left unwritten fails.  A crash or a hang raises ToolchainError.
     """
+    import numpy as np
+
+    from .interp import reference_evaluate
+
     spec = graph.spec
     inputs = random_inputs(graph, extents, seed)
     flat = validation_outputs(binary, graph, extents, inputs)
@@ -348,7 +360,7 @@ def validation_error(binary: Path, graph: DataflowGraph,
     parts = np.split(flat, np.cumsum(sizes)[:-1])
     got = _unflatten(graph, dict(zip((n for n, _ in spec.outputs), parts)),
                      extents)
-    return max_rel_error(got, interp.reference_evaluate(spec, inputs))
+    return max_rel_error(got, reference_evaluate(spec, inputs))
 
 
 def validation_timeout(doubles: int) -> float:
@@ -364,6 +376,8 @@ def validation_outputs(binary: Path, graph: DataflowGraph,
     input and output files beside it, and return the raw doubles it wrote:
     every output, flat, in signature order.  A crash, a hang or a short
     write raises ToolchainError."""
+    import numpy as np
+
     spec = graph.spec
     src, dst = binary.parent / "inputs.f64", binary.parent / "outputs.f64"
     with src.open("wb") as fh:

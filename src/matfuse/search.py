@@ -11,9 +11,15 @@ driver, run_strategy, runs every strategy; mfga, ga and orthogonal end
 with the thread sweep.
 
 Every organism move is a list of forest splices (zero or more nodes in
-place of the node at a path) that _edit applies before canonicalize.
-One generator lists the fusion moves, which mutation samples and
-max-fuse's loop-level pass applies in order, and another the splits.
+place of the node at a path) that _edit applies to a canonical organism.
+It then orders only the child lists the splices rebuilt (the ancestors
+on each path, each inserted node, the root list) and reuses every other
+subtree as it is, so its result is canonical by construction and no
+edit calls canonicalize; that is kept for outside input (parsed text,
+crossover's assembled child, a crossover root checked alone, the
+enumeration).  One generator lists the fusion moves, which mutation
+samples and max-fuse's loop-level pass applies in order, and another the
+splits.
 A partition node carries its own thread count, so a move that moves,
 splits or merges partitions takes their counts along; a thread-count
 change is with_threads.  fuse.partition_axes is the one answer to which
@@ -56,9 +62,9 @@ from dataclasses import asdict, dataclass
 from .cost import CachedFitness, CostReport, cached
 from .fuse import (
     THREAD_MODES, IterNode, Limits, LoopNode, OpLeaf, Organism,
-    PartitionNode, canonical_key, canonicalize, enumerate_space, full_nest,
-    fusion_legal, initial_forest, partition_axes, thread_assignments,
-    with_children, with_threads,
+    PartitionNode, _order_children, canonical_key, canonicalize,
+    enumerate_space, full_nest, fusion_legal, initial_forest, partition_axes,
+    reordered, thread_assignments, with_children, with_threads,
 )
 from .graph import DataflowGraph, bits
 
@@ -163,29 +169,48 @@ class LegalityMemo:
 
 
 # ---------------------------------------------------------------------------
-# Organism surgery (trees are immutable): splice, then canonicalize
+# Organism surgery (trees are immutable): splice, then order what was rebuilt
 
 def splice(forest: tuple[IterNode, ...], path: tuple[int, ...],
-           nodes: tuple[IterNode, ...]) -> tuple[IterNode, ...]:
+           nodes: tuple[IterNode, ...],
+           rebuilt: dict[int, IterNode]) -> tuple[IterNode, ...]:
     """The forest with `nodes` (zero or more) in place of the node at
-    `path`, a root index followed by child indices."""
+    `path`, a root index followed by child indices.  Each inserted node
+    and each node rebuilt on the path is added to `rebuilt`, by id."""
     kids = list(forest)
     if len(path) == 1:
         kids[path[0]:path[0] + 1] = nodes
+        rebuilt.update((id(n), n) for n in nodes)
     else:
         node = kids[path[0]]
-        kids[path[0]] = with_children(node,
-                                      splice(node.children, path[1:], nodes))
+        kids[path[0]] = new = with_children(
+            node, splice(node.children, path[1:], nodes, rebuilt))
+        rebuilt[id(new)] = new
     return tuple(kids)
 
 
 def _edit(org: Organism, graph: DataflowGraph, *splices) -> Organism:
     """The canonical organism after applying each (path, nodes) splice in
-    turn."""
+    turn to the canonical `org`.
+
+    Only what the splices rebuilt is ordered: the child list of each
+    ancestor on a spliced path and of each inserted node, and the root
+    list.  Every other subtree is reused as the same object, already
+    canonical, so the result equals canonicalize of the spliced forest.
+    The paths of later splices index the forest the earlier ones left,
+    before any ordering.
+    """
+    rebuilt: dict[int, IterNode] = {}  # holding the nodes keeps ids unique
     forest = org.forest
     for path, nodes in splices:
-        forest = splice(forest, path, nodes)
-    return canonicalize(Organism(forest), graph)
+        forest = splice(forest, path, nodes, rebuilt)
+
+    def order(node: IterNode) -> IterNode:
+        if id(node) not in rebuilt or isinstance(node, OpLeaf):
+            return node
+        return reordered(node, [order(c) for c in node.children], graph)
+
+    return Organism(tuple(_order_children([order(r) for r in forest], graph)))
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,35 @@ class TestCompile:
         assert "{_i{_j 1}{_j 2}}{_j 3}" in stdout
         assert "#pragma" not in out.read_text()
 
+    def test_compiles_the_key_search_logs(self, tmp_path, capsys):
+        """The winner's key, thread counts included, rebuilds best.c."""
+        gemver = str(kernel_path("gemver"))
+        outdir = tmp_path / "run"
+        code, _, _ = run(
+            capsys, "search", gemver, "--strategy", "mfga", "--seed", "1",
+            "--generations", "3", "--threads-mode", "exhaustive",
+            "--out-dir", str(outdir), "--no-validate", "--extents", "90,70",
+            "--cores", "4")
+        assert code == 0
+        key = json.loads((outdir / "summary.json").read_text())["best"]
+        assert ";t=" in key
+        out = tmp_path / "k.c"
+        code, stdout, _ = run(
+            capsys, "compile", gemver, "-o", str(out), "--no-validate",
+            "--extents", "90,70", "--cores", "2", "--organism", key)
+        assert code == 0
+        notation, counts = key.split(";t=")
+        assert f"organism: {notation}\nthreads: {counts}\n" in stdout
+        assert out.read_text() == (outdir / "best.c").read_text()
+
+    def test_key_with_wrong_count_list_exits_2(self, tmp_path, capsys):
+        code, _, stderr = run(
+            capsys, "compile", BATAX, "-o", str(tmp_path / "k.c"),
+            "--no-validate",
+            "--organism", "{_{p(i)}{_i{_j 1}{_j 2}}}{_{p(j)}{_j 3}};t=4")
+        assert code == 2
+        assert "1 thread counts for 2 partitions" in stderr
+
     def test_illegal_grouping_exits_2_with_dependence(self, tmp_path, capsys):
         code, _, stderr = run(
             capsys, "compile", BATAX, "-o", str(tmp_path / "k.c"),
@@ -396,6 +425,21 @@ def test_import_matfuse_leaves_numpy_unloaded():
          "import sys, matfuse; sys.exit('numpy' in sys.modules)"],
         env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
     assert probe.returncode == 0
+
+
+def test_cli_import_and_enumerate_leave_numpy_unloaded():
+    """Listing organisms needs no validation, so no numpy."""
+    src = pathlib.Path(matfuse.__file__).parents[1]
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, matfuse.cli\n"
+         "assert 'numpy' not in sys.modules\n"
+         f"code = matfuse.cli.main(['enumerate', {BATAX!r}, '--count-only'])\n"
+         "sys.exit(code or 'numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=60)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.startswith("total ")
 
 
 def test_readme_cli_block_names_every_option():
